@@ -34,6 +34,8 @@ ASSERT_CREG_PREFIX = "__assert_"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"\S+")
+# Plain ASCII decimal without leading zeros, so a token prints back as written.
+_INT_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
 
 _GATE_WORDS = ("h", "x", "y", "z", "s")
 
@@ -181,9 +183,11 @@ class _Statement:
     def take_int(self, what: str) -> tuple[int, int]:
         tok, col = self.take(what)
         try:
-            return int(tok, 10), col
-        except ValueError:
-            raise self.fail(f"expected {what}, got {tok!r}", col) from None
+            if _INT_RE.match(tok):
+                return int(tok), col
+        except ValueError:  # more digits than int() converts
+            pass
+        raise self.fail(f"expected {what}, got {tok!r}", col)
 
     def take_qubit(self, num_qubits: int) -> int:
         value, col = self.take_int("a qubit index")
@@ -356,6 +360,12 @@ def lower_assertions(circuit: Circuit) -> Circuit:
     never reused.  The relative order of all other instructions is
     preserved; the result contains no AssertInstr.  Returns the input
     unchanged when there is nothing to lower.
+
+    Each ancilla widens the declared register, which MAX_QUBITS bounds,
+    but not the simulated state: the shot executor allocates a qubit at
+    its first use and drops it after a measurement that is its last use,
+    so the state width is the peak number of live qubits.  Assertions
+    that run one after another cost one extra qubit at peak, not one each.
     """
     circuit.validate()
     if not circuit.has_assertions():

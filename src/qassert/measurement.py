@@ -93,11 +93,10 @@ def prob_zero(state: StateVector, q: int) -> float:
     return _branch_probabilities(state.amps, q)[0]
 
 
-def _measure_inplace(amps: np.ndarray, q: int, rng: RngStream) -> tuple[int, float]:
-    """Sample qubit q, project amps in place, and renormalize.
+def _sample_outcome(amps: np.ndarray, q: int, rng: RngStream) -> tuple[int, float]:
+    """Draw the outcome of measuring qubit q: (outcome, branch probability).
 
-    Returns (outcome, branch probability).  Shared with the shot runner;
-    the sampling convention is: outcome 1 iff the next uniform < P(1).
+    The sampling convention is: outcome 1 iff the next uniform < P(1).
     """
     p0, p1 = _branch_probabilities(amps, q)
     if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
@@ -108,10 +107,38 @@ def _measure_inplace(amps: np.ndarray, q: int, rng: RngStream) -> tuple[int, flo
     branch = p1 if outcome else p0
     if branch <= 0.0:
         raise InvariantViolationError("measurement projected onto an empty branch")
+    return outcome, branch
+
+
+def _measure_inplace(amps: np.ndarray, q: int, rng: RngStream) -> tuple[int, float]:
+    """Sample qubit q, project amps in place, and renormalize.
+
+    Returns (outcome, branch probability).  Shared with the shot runner.
+    """
+    outcome, branch = _sample_outcome(amps, q, rng)
     view = amps.reshape(-1, 2, 1 << q)
     view[:, 1 - outcome, :] = 0.0
     amps *= 1.0 / np.sqrt(branch)
     return outcome, branch
+
+
+def _drop_qubit(amps: np.ndarray, q: int, bit: int, branch: float) -> np.ndarray:
+    """New, half-size state: the half of amps where qubit q reads `bit`,
+    renormalized by that half's probability `branch`, with qubit q removed.
+
+    Qubits above q move down one position.
+    """
+    return (amps.reshape(-1, 2, 1 << q)[:, bit, :] * (1.0 / np.sqrt(branch))).reshape(-1)
+
+
+def _measure_drop(amps: np.ndarray, q: int, rng: RngStream) -> tuple[int, np.ndarray]:
+    """Sample qubit q, then remove it from the state: (outcome, new state).
+
+    Same draw and checks as _measure_inplace, for a qubit that is never
+    used again.
+    """
+    outcome, branch = _sample_outcome(amps, q, rng)
+    return outcome, _drop_qubit(amps, q, outcome, branch)
 
 
 def measure(

@@ -9,11 +9,16 @@ A shot "passes" when every assertion creg (``__assert_*``) reads 0.
 Post-selection keeps only passing shots; `compute_filter_report` compares
 the error rate before and after that filter.
 
-Internally two equivalent executors exist: a numpy kernel, and a compiled
-plain-list kernel for circuits of at most _LIST_KERNEL_MAX_QUBITS qubits
-where interpreter-level arithmetic beats numpy call overhead.  Both
-follow the same randomness draw order, so results stay deterministic for
-a fixed circuit.
+Execution follows a static liveness plan: each qubit enters the state as
+|0> just before its first instruction, and a qubit whose last use is a
+measurement leaves it right after that measurement.  The state therefore
+holds only the *live* qubits, and its width is the plan's peak number of
+live qubits, not the declared qubits plus one per assertion ancilla:
+assertions that run one after another cost one extra qubit at peak.
+Circuits of at most _LIST_KERNEL_MAX_QUBITS qubits instead run at full
+width on a compiled plain-list kernel, where interpreter-level arithmetic
+beats numpy call overhead.  Both follow the same randomness draw order, so
+results stay deterministic for a fixed circuit.
 """
 
 from __future__ import annotations
@@ -30,10 +35,18 @@ from .measurement import (
     BRANCH_PROBABILITY_FLOOR,
     RngStream,
     _branch_probabilities,
+    _drop_qubit,
+    _measure_drop,
     _measure_inplace,
 )
 from .noise import NoiseModel, _gate_noise_inplace, apply_readout_noise
-from .state import NORM_TOLERANCE, InvariantViolationError, StateVector, _apply_gate_inplace
+from .state import (
+    NORM_TOLERANCE,
+    Gate,
+    InvariantViolationError,
+    StateVector,
+    _apply_gate_inplace,
+)
 
 _LIST_KERNEL_MAX_QUBITS = 7
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -113,20 +126,112 @@ def _compile(circuit: Circuit):
     return ops, creg_names
 
 
-def _run_ops_numpy(amps, num_qubits, ops, rng, model, bits) -> None:
+def _operands(op) -> tuple[int, ...]:
+    return op[1].qubits if op[0] == "g" else (op[1],)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Liveness plan: `_compile`'s ops as steps on physical positions.
+
+    Steps are ("a",), which tensors a new top qubit in as |0>;
+    ("g", gate on positions, width); and ("m", position, creg slot, drop).
+    A dropping measurement removes its qubit from the state, and the
+    qubits above it move down one position.  `layout` is the logical qubit
+    at each position after the last step; `dropped` maps each removed
+    qubit to the creg slot of its final measurement.
+    """
+
+    steps: tuple
+    peak_width: int
+    layout: tuple[int, ...]
+    dropped: dict[int, int]
+
+
+def _liveness_plan(ops) -> _Plan:
+    """Allocate each qubit just before its first op; drop it after its
+    final measurement when that measurement is its last use."""
+    last_use = {}
+    for i, op in enumerate(ops):
+        for q in _operands(op):
+            last_use[q] = i
+    layout: list[int] = []
+    dropped: dict[int, int] = {}
+    steps = []
+    peak = 0
+    for i, op in enumerate(ops):
+        qubits = _operands(op)
+        for q in qubits:
+            if q not in layout:
+                layout.append(q)
+                steps.append(("a",))
+        peak = max(peak, len(layout))
+        if op[0] == "g":
+            gate = Gate(op[1].name, tuple(layout.index(q) for q in qubits))
+            steps.append(("g", gate, len(layout)))
+        else:
+            _, q, slot = op
+            drop = last_use[q] == i
+            steps.append(("m", layout.index(q), slot, drop))
+            if drop:
+                layout.remove(q)
+                dropped[q] = slot
+    return _Plan(tuple(steps), peak, tuple(layout), dropped)
+
+
+def _alloc_qubit(amps: np.ndarray) -> np.ndarray:
+    """Tensor a new top qubit in as |0>."""
+    return np.concatenate((amps, np.zeros_like(amps)))
+
+
+def _run_steps(amps, steps, rng, model, bits, projected) -> np.ndarray:
+    """Execute plan steps on the live qubits' amplitudes; returns the
+    final state.  bits[slot] gets each recorded bit, projected[slot] the
+    outcome before readout noise."""
     gate_noise = model is not None and model.gate_flip_p > 0.0
     readout_noise = model is not None and model.readout_flip_p > 0.0
-    for op in ops:
-        if op[0] == "g":
-            gate = op[1]
-            _apply_gate_inplace(amps, num_qubits, gate)
+    for step in steps:
+        kind = step[0]
+        if kind == "g":
+            _, gate, width = step
+            _apply_gate_inplace(amps, width, gate)
             if gate_noise:
-                _gate_noise_inplace(amps, num_qubits, gate.qubits, model, rng)
+                _gate_noise_inplace(amps, width, gate.qubits, model, rng)
+        elif kind == "a":
+            amps = _alloc_qubit(amps)
         else:
-            outcome, _ = _measure_inplace(amps, op[1], rng)
+            _, pos, slot, drop = step
+            if drop:
+                outcome, amps = _measure_drop(amps, pos, rng)
+            else:
+                outcome, _ = _measure_inplace(amps, pos, rng)
+            projected[slot] = outcome
             if readout_noise:
                 outcome = apply_readout_noise(outcome, model, rng)
-            bits[op[2]] = outcome
+            bits[slot] = outcome
+    return amps
+
+
+def _full_state(amps, plan: _Plan, projected, num_qubits: int) -> np.ndarray:
+    """Re-expand a plan's final state to all `num_qubits` qubits.
+
+    Live qubits keep their amplitudes, a dropped qubit goes back in at its
+    projected bit, and a qubit that was never used goes in as |0>.
+    """
+    width = len(plan.layout)
+    # Tensor axis k holds position width-1-k; order the live axes by
+    # descending logical qubit, as in the full register.
+    order = sorted(range(width), key=lambda p: plan.layout[p], reverse=True)
+    live = amps.reshape((2,) * width).transpose([width - 1 - p for p in order])
+    index = tuple(
+        slice(None) if q in plan.layout
+        else projected[plan.dropped[q]] if q in plan.dropped
+        else 0
+        for q in reversed(range(num_qubits))
+    )
+    full = np.zeros((2,) * num_qubits, dtype=np.complex128)
+    full[index] = live
+    return full.reshape(-1)
 
 
 def _qubit_tables(num_qubits: int):
@@ -183,7 +288,7 @@ def _list_pauli(st, pauli: str, tables, q: int) -> None:
 
 
 def _run_ops_list(st, steps, rng, model, bits, tables) -> None:
-    # Mirrors _run_ops_numpy, including the randomness draw order.
+    # Mirrors _run_steps, including the randomness draw order.
     gate_p = model.gate_flip_p if model is not None else 0.0
     readout_p = model.readout_flip_p if model is not None else 0.0
     depolarizing = model.depolarizing if model is not None else False
@@ -251,24 +356,65 @@ def _run_ops_list(st, steps, rng, model, bits, tables) -> None:
                     _list_pauli(st, pauli, tables, q)
 
 
-def _split_deterministic_prefix(ops, num_qubits, model):
-    """Pre-apply the gates before the first measurement when they are pure.
+def _shared_prefix_len(steps, model: NoiseModel | None) -> int:
+    """Number of leading steps that are the same in every shot.
 
-    Without gate noise the pre-measurement evolution is deterministic, so
-    it can run once and be copied per shot.  With gate noise every shot
-    must replay it.
+    Without gate noise nothing before the first measurement draws
+    randomness, so those steps run once and are copied per shot.  With
+    gate noise every shot must replay them.
     """
     if model is not None and model.gate_flip_p > 0.0:
-        prefix_len = 0
-    else:
-        prefix_len = 0
-        while prefix_len < len(ops) and ops[prefix_len][0] == "g":
-            prefix_len += 1
-    base = np.zeros(1 << num_qubits, dtype=np.complex128)
-    base[0] = 1.0
-    for op in ops[:prefix_len]:
-        _apply_gate_inplace(base, num_qubits, op[1])
-    return base, ops[prefix_len:]
+        return 0
+    k = 0
+    while k < len(steps) and steps[k][0] != "m":
+        k += 1
+    return k
+
+
+class _ShotProgram:
+    """A lowered circuit compiled once for many shots under one noise model.
+
+    Circuits of at most _LIST_KERNEL_MAX_QUBITS qubits run on the list
+    kernel at full width, wider ones on the liveness plan.  The shared
+    prefix runs once, into `base`.
+    """
+
+    def __init__(self, circuit: Circuit, model: NoiseModel | None):
+        ops, self.creg_names = _compile(circuit)
+        self.num_qubits = n = circuit.num_qubits
+        self.model = model
+        self.projected = [0] * len(self.creg_names)
+        if n <= _LIST_KERNEL_MAX_QUBITS:
+            self.plan = None
+            self.tables = _qubit_tables(n)
+            steps = _compile_list(ops, n, self.tables)
+            base = [0j] * (1 << n)
+            base[0] = 1.0 + 0j
+        else:
+            self.plan = _liveness_plan(ops)
+            steps = self.plan.steps
+            base = np.ones(1, dtype=np.complex128)
+        k = _shared_prefix_len(steps, model)
+        self.base = self._run(base, steps[:k], None, None)
+        self.rest = steps[k:]
+
+    def _run(self, state, steps, rng, bits):
+        if self.plan is None:
+            _run_ops_list(state, steps, rng, self.model, bits, self.tables)
+            return state
+        return _run_steps(state, steps, rng, self.model, bits, self.projected)
+
+    def shot(self, rng: RngStream, bits: list[int]):
+        """Run one shot, writing its recorded bits; returns its final state."""
+        return self._run(self.base.copy(), self.rest, rng, bits)
+
+    def full_state(self, final) -> StateVector:
+        """The final state of the latest shot over all declared qubits."""
+        if self.plan is None:
+            amps = np.array(final, dtype=np.complex128)
+        else:
+            amps = _full_state(final, self.plan, self.projected, self.num_qubits)
+        return StateVector(self.num_qubits, amps, copy=False)
 
 
 def run_shots(
@@ -285,17 +431,8 @@ def run_shots(
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
-    ops, creg_names = _compile(circuit)
-    n = circuit.num_qubits
-    base, rest = _split_deterministic_prefix(ops, n, model)
-
-    use_list = n <= _LIST_KERNEL_MAX_QUBITS
-    if use_list:
-        tables = _qubit_tables(n)
-        steps = _compile_list(rest, n, tables)
-        base_list = base.tolist()
-    else:
-        buf = np.empty_like(base)
+    program = _ShotProgram(circuit, model)
+    creg_names = program.creg_names
 
     assertion_labels = circuit.assertion_labels
     assert_slots = [
@@ -307,13 +444,7 @@ def run_shots(
     fail_counts = {label: 0 for label in assertion_labels}
     bits = [0] * len(creg_names)
     for i in range(shots):
-        rng = RngStream.for_shot(master_seed, shot_offset + i)
-        if use_list:
-            st = base_list.copy()
-            _run_ops_list(st, steps, rng, model, bits, tables)
-        else:
-            np.copyto(buf, base)
-            _run_ops_numpy(buf, n, rest, rng, model, bits)
+        program.shot(RngStream.for_shot(master_seed, shot_offset + i), bits)
         key = "".join("01"[b] for b in bits)
         counts[key] = counts.get(key, 0) + 1
         for label, slot in assert_slots:
@@ -338,29 +469,20 @@ def run_single(
     """Execute one shot and return its record plus the final state.
 
     Reproduces exactly shot `shot_index` of a run_shots call with the
-    same master seed.
+    same master seed.  The state covers every declared qubit: a qubit
+    measured for the last time sits at its projected bit (before readout
+    noise), a qubit never used at |0>.
     """
-    ops, creg_names = _compile(circuit)
-    n = circuit.num_qubits
+    program = _ShotProgram(circuit, model)
+    creg_names = program.creg_names
     bits = [0] * len(creg_names)
-    rng = RngStream.for_shot(master_seed, shot_index)
-    if n <= _LIST_KERNEL_MAX_QUBITS:
-        tables = _qubit_tables(n)
-        steps = _compile_list(ops, n, tables)
-        st = [0j] * (1 << n)
-        st[0] = 1.0 + 0j
-        _run_ops_list(st, steps, rng, model, bits, tables)
-        amps = np.array(st, dtype=np.complex128)
-    else:
-        amps = np.zeros(1 << n, dtype=np.complex128)
-        amps[0] = 1.0
-        _run_ops_numpy(amps, n, ops, rng, model, bits)
+    final = program.shot(RngStream.for_shot(master_seed, shot_index), bits)
     creg_values = dict(zip(creg_names, bits))
     outcomes = {
         label: "fail" if creg_values[ASSERT_CREG_PREFIX + label] else "pass"
         for label in circuit.assertion_labels
     }
-    return ShotRecord(creg_values, outcomes), StateVector(n, amps, copy=False)
+    return ShotRecord(creg_values, outcomes), program.full_state(final)
 
 
 def merge_statistics(a: RunStatistics, b: RunStatistics) -> RunStatistics:
@@ -386,41 +508,42 @@ def merge_statistics(a: RunStatistics, b: RunStatistics) -> RunStatistics:
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
     """Exact noiseless outcome distribution over creg bitstrings.
 
-    Enumerates measurement branches recursively with their analytic
-    probabilities instead of sampling; branches below
-    BRANCH_PROBABILITY_FLOOR are dropped.
+    Walks the liveness plan's measurement branches depth-first, with an
+    explicit stack, and their analytic probabilities instead of sampling;
+    branches below BRANCH_PROBABILITY_FLOOR are dropped.
     """
     ops, creg_names = _compile(circuit)
-    n = circuit.num_qubits
+    steps = _liveness_plan(ops).steps
     results: dict[str, float] = {}
-    bits = [0] * len(creg_names)
-
-    def walk(amps: np.ndarray, start: int, prob: float) -> None:
-        i = start
-        while i < len(ops):
-            op = ops[i]
-            if op[0] == "g":
-                _apply_gate_inplace(amps, n, op[1])
-                i += 1
+    stack = [(0, np.ones(1, dtype=np.complex128), 1.0, [0] * len(creg_names))]
+    while stack:
+        i, amps, prob, bits = stack.pop()
+        while i < len(steps) and steps[i][0] != "m":
+            step = steps[i]
+            if step[0] == "g":
+                _apply_gate_inplace(amps, step[2], step[1])
+            else:
+                amps = _alloc_qubit(amps)
+            i += 1
+        if i == len(steps):
+            key = "".join("01"[b] for b in bits)
+            results[key] = results.get(key, 0.0) + prob
+            continue
+        _, pos, slot, drop = steps[i]
+        p0, p1 = _branch_probabilities(amps, pos)
+        # Pushed in reverse, so outcome 0 is walked first.
+        for outcome, p in ((1, p1), (0, p0)):
+            if p < BRANCH_PROBABILITY_FLOOR:
                 continue
-            q, slot = op[1], op[2]
-            p0, p1 = _branch_probabilities(amps, q)
-            for outcome, p in ((0, p0), (1, p1)):
-                if p < BRANCH_PROBABILITY_FLOOR:
-                    continue
+            if drop:
+                branch = _drop_qubit(amps, pos, outcome, p)
+            else:
                 branch = amps.copy()
-                view = branch.reshape(-1, 2, 1 << q)
-                view[:, 1 - outcome, :] = 0.0
+                branch.reshape(-1, 2, 1 << pos)[:, 1 - outcome, :] = 0.0
                 branch *= 1.0 / np.sqrt(p)
-                bits[slot] = outcome
-                walk(branch, i + 1, prob * p)
-            return
-        key = "".join("01"[b] for b in bits)
-        results[key] = results.get(key, 0.0) + prob
-
-    initial = np.zeros(1 << n, dtype=np.complex128)
-    initial[0] = 1.0
-    walk(initial, 0, 1.0)
+            branch_bits = bits.copy()
+            branch_bits[slot] = outcome
+            stack.append((i + 1, branch, prob * p, branch_bits))
     return results
 
 

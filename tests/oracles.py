@@ -29,17 +29,22 @@ def embed(matrix: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
     Qubit 0 is the least-significant index bit, so it sits rightmost in
     the Kronecker chain.
     """
+    return embed_product({qubit: matrix}, num_qubits)
+
+
+def embed_product(factors: dict[int, np.ndarray], num_qubits: int) -> np.ndarray:
+    """Kronecker product with factors[q] on qubit q and identity elsewhere."""
     op = np.eye(1, dtype=complex)
     for k in range(num_qubits):
-        op = np.kron(matrix if k == qubit else _I2, op)
+        op = np.kron(factors.get(k, _I2), op)
     return op
 
 
 def gate_unitary(name: str, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
     if name == "cnot":
         control, target = qubits
-        return embed(_P0, control, num_qubits) + embed(_P1, control, num_qubits) @ embed(
-            _MATRICES["x"], target, num_qubits
+        return embed(_P0, control, num_qubits) + embed_product(
+            {control: _P1, target: _MATRICES["x"]}, num_qubits
         )
     return embed(_MATRICES[name], qubits[0], num_qubits)
 
@@ -79,6 +84,24 @@ def brute_force_distribution(circuit) -> dict[str, float]:
     psi0[0] = 1.0
     walk(psi0, list(circuit.instructions), {}, 1.0)
     return dist
+
+
+def projected_state(circuit, outcomes: dict[str, int]) -> np.ndarray:
+    """Final state of a lowered circuit when each measurement reads the bit
+    that `outcomes` gives for its creg; measured qubits stay projected."""
+    from qassert import GateInstr
+
+    n = circuit.num_qubits
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    for instr in circuit.instructions:
+        if isinstance(instr, GateInstr):
+            psi = gate_unitary(instr.gate.name, instr.gate.qubits, n) @ psi
+            continue
+        proj = _P1 if outcomes[instr.creg] else _P0
+        psi = embed(proj, instr.qubit, n) @ psi
+        psi = psi / np.linalg.norm(psi)
+    return psi
 
 
 def l1_distance(a: dict[str, float], b: dict[str, float]) -> float:

@@ -1,5 +1,7 @@
 """Tests for parsing, pretty-printing, and assertion lowering."""
 
+import itertools
+
 import pytest
 
 from qassert import (
@@ -104,6 +106,23 @@ class TestParseErrors:
     def test_bad_integer(self):
         self.assert_error("qubits 1\nh zero\n", 2, "expected")
 
+    @pytest.mark.parametrize(
+        "source, column",
+        [
+            ("qubits 2\nh 1_0\n", 3),
+            ("qubits 2\nh +1\n", 3),
+            ("qubits 2\nh \u0663\n", 3),
+            ("qubits +3\n", 8),
+            ("qubits 2\ncnot 0 01\n", 8),
+            ("qubits 2\nmeasure 1_0 -> m\n", 9),
+            ("qubits " + "1" * 5000 + "\n", 8),
+        ],
+        ids=["underscore", "plus-sign", "arabic-indic", "header-plus",
+             "leading-zero", "measure", "beyond-int-digit-limit"],
+    )
+    def test_integer_must_be_plain_ascii_decimal(self, source, column):
+        self.assert_error(source, source.count("\n"), "expected", column=column)
+
     def test_duplicate_creg(self):
         self.assert_error(
             "qubits 1\nmeasure 0 -> m\nmeasure 0 -> m\n", 3, "duplicate creg"
@@ -155,6 +174,21 @@ class TestRoundTrip:
             circuit = parse(path.read_text())
             again = parse(pretty_print(circuit))
             assert again == circuit, f"round-trip mismatch for {path.name}"
+
+    def test_integer_tokens_print_back_unchanged(self):
+        accepted = set()
+        for size in (1, 2, 3):
+            for chars in itertools.product("0129_+-\u0663", repeat=size):
+                token = "".join(chars)
+                for source in (f"qubits {token}\n", f"qubits 24\nx {token}\n"):
+                    try:
+                        circuit = parse(source)
+                    except ParseError:
+                        continue
+                    assert pretty_print(circuit) == source
+                    accepted.add(token)
+        assert {"0", "1", "9", "10", "21", "2"} <= accepted
+        assert not accepted & {"00", "01", "1_0", "+1", "-0", "\u0663"}
 
     def test_equality_ignores_spans(self):
         a = parse("qubits 1\nh 0\n")

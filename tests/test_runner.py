@@ -8,6 +8,7 @@ from qassert import (
     Circuit,
     NoiseModel,
     RunStatistics,
+    StateVector,
     apply_gate,
     compute_filter_report,
     exact_distribution,
@@ -25,9 +26,11 @@ from qassert import (
     run_single,
     states_equal_up_to_global_phase,
 )
+from qassert.runner import _compile, _liveness_plan
 
 from helpers import binomial_4sigma
-from oracles import brute_force_distribution, l1_distance
+from make_liveness_golden import FIXTURE, MODELS
+from oracles import brute_force_distribution, l1_distance, projected_state
 
 BELL_SOURCE = """\
 qubits 2
@@ -41,6 +44,32 @@ measure 1 -> m1
 
 def lowered(source: str) -> Circuit:
     return lower_assertions(parse(source))
+
+
+GOLDEN = json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+# Qubit 4 is dropped after its measurement, 7 is never used, and the rest
+# stay live to the end, allocated out of index order.
+LIVE_AT_END = """\
+qubits 9
+h 6
+cnot 6 2
+measure 4 -> early
+h 8
+cnot 8 0
+s 0
+y 3
+h 1
+cnot 1 5
+x 5
+assert_entangled 6 2 parity 0 label e
+"""
+
+FINAL_STATE_SOURCES = {
+    f"{c['lowered_qubits']}q-seed{c['seed']}": c["source"]
+    for c in GOLDEN if c["model"] == "none" and c["lowered_qubits"] <= 10
+}
+FINAL_STATE_SOURCES["live-at-end"] = LIVE_AT_END
 
 
 class TestRunShots:
@@ -193,6 +222,62 @@ class TestRunSingle:
         assert states_equal_up_to_global_phase(data_state, reference, 1e-12)
 
 
+class TestLiveness:
+    """The executor allocates qubits at first use and drops them after their
+    final measurement; results must not change."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN, ids=lambda c: f"seed{c['seed']}-{c['model']}"
+    )
+    def test_golden_counts(self, case):
+        # Counts recorded by the executor that kept every qubit at full width.
+        circuit = lowered(case["source"])
+        assert circuit.num_qubits == case["lowered_qubits"]
+        stats = run_shots(circuit, case["shots"], case["seed"], MODELS[case["model"]])
+        assert stats.counts == case["counts"]
+
+    @pytest.mark.parametrize("readout_p", [0.0, 1.0])
+    @pytest.mark.parametrize("source", FINAL_STATE_SOURCES.values(),
+                             ids=FINAL_STATE_SOURCES.keys())
+    def test_final_state_matches_oracle(self, source, readout_p):
+        circuit = lowered(source)
+        assert 8 <= circuit.num_qubits <= 10
+        model = NoiseModel(readout_flip_p=readout_p)
+        for shot in range(2):
+            record, state = run_single(circuit, 31, model, shot_index=shot)
+            # A certain readout flip inverts every recorded bit, never the state.
+            outcomes = {c: v ^ int(readout_p) for c, v in record.creg_values.items()}
+            expected = projected_state(circuit, outcomes)
+            assert states_equal_up_to_global_phase(
+                state, StateVector(circuit.num_qubits, expected), 1e-12
+            )
+
+    def test_run_single_replays_noisy_wide_shots(self):
+        case = next(c for c in GOLDEN if c["lowered_qubits"] > 7)
+        circuit = lowered(case["source"])
+        model = NoiseModel(gate_flip_p=0.05, readout_flip_p=0.05, depolarizing=True)
+        for i in range(40):
+            stats = run_shots(circuit, 1, 8, model, shot_offset=i)
+            record, _ = run_single(circuit, 8, model, shot_index=i)
+            key = "".join(str(record.creg_values[c]) for c in circuit.creg_names)
+            assert stats.counts == {key: 1}, i
+
+    def test_peak_width_of_sequential_checks(self):
+        ghz = ["qubits 14", "h 0"] + [f"cnot {q - 1} {q}" for q in range(1, 14)]
+        targets = " ".join(str(q) for q in range(14))
+        ghz += [f"assert_entangled {targets} parity 0 label g{k}" for k in range(4)]
+        ghz += [f"measure {q} -> m{q}" for q in range(14)]
+        pairs = ["qubits 18"]
+        for a in range(0, 18, 2):
+            pairs += [f"h {a}", f"cnot {a} {a + 1}"]
+        pairs += ["assert_entangled 0 1 parity 0", "assert_entangled 4 5 parity 0"]
+        pairs += [f"measure {q} -> m{q}" for q in range(18)]
+        for source, declared, peak in ((ghz, 18, 15), (pairs, 20, 19)):
+            circuit = lowered("\n".join(source) + "\n")
+            assert circuit.num_qubits == declared
+            assert _liveness_plan(_compile(circuit)[0]).peak_width == peak
+
+
 class TestExactDistribution:
     def test_bell_distribution(self):
         dist = exact_distribution(lowered(BELL_SOURCE))
@@ -223,6 +308,10 @@ class TestExactDistribution:
     def test_rejects_unlowered(self):
         with pytest.raises(ValueError, match="lower"):
             exact_distribution(parse(BELL_SOURCE))
+
+    def test_long_measurement_sequence(self):
+        source = "qubits 1\n" + "".join(f"measure 0 -> m{i}\n" for i in range(2000))
+        assert exact_distribution(parse(source)) == {"0" * 2000: 1.0}
 
 
 def table1_stats() -> RunStatistics:
