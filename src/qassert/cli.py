@@ -10,7 +10,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .lang import ParseError, lower_assertions, parse, pretty_print
+from .lang import (
+    ASSERT_CREG_PREFIX,
+    ParseError,
+    lower_assertions,
+    parse,
+    pretty_print,
+)
 from .noise import NoiseModel
 from .runner import compute_filter_report, render_report, run_shots
 from .state import InvariantViolationError
@@ -117,7 +123,7 @@ def _cmd_run(args) -> int:
     model = _noise_model(args)
 
     data_cregs = tuple(
-        c for c in lowered.creg_names if not c.startswith("__assert_")
+        c for c in lowered.creg_names if not c.startswith(ASSERT_CREG_PREFIX)
     )
     for bits in args.expect:
         if len(bits) != len(data_cregs) or any(ch not in "01" for ch in bits):

@@ -283,7 +283,9 @@ def parse(source: str) -> Circuit:
                 # Reserved prefix: the creg doubles as an assertion label
                 # (this is how lowered circuits re-parse).
                 label = name[len(ASSERT_CREG_PREFIX):]
-                if not label or label in labels_seen:
+                if not label:
+                    raise stmt.fail(f"empty assertion label in creg {name!r}")
+                if label in labels_seen:
                     raise stmt.fail(f"duplicate assertion label {label!r}")
                 labels_seen.add(label)
             instructions.append(MeasureInstr(q, name, span))

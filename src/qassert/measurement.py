@@ -76,8 +76,8 @@ def _branch_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
     view = amps.reshape(-1, 2, 1 << q)
     b0 = view[:, 0, :]
     b1 = view[:, 1, :]
-    p0 = float(np.sum(b0.real**2 + b0.imag**2))
-    p1 = float(np.sum(b1.real**2 + b1.imag**2))
+    p0 = float((b0.real**2 + b0.imag**2).sum())
+    p1 = float((b1.real**2 + b1.imag**2).sum())
     return p0, p1
 
 
@@ -110,15 +110,20 @@ def _sample_outcome(amps: np.ndarray, q: int, rng: RngStream) -> tuple[int, floa
     return outcome, branch
 
 
+def _project(amps: np.ndarray, q: int, bit: int, branch: float) -> None:
+    """Project amps in place onto qubit q reading `bit`, and renormalize by
+    that branch's probability `branch`."""
+    amps.reshape(-1, 2, 1 << q)[:, 1 - bit, :] = 0.0
+    amps *= 1.0 / np.sqrt(branch)
+
+
 def _measure_inplace(amps: np.ndarray, q: int, rng: RngStream) -> tuple[int, float]:
     """Sample qubit q, project amps in place, and renormalize.
 
     Returns (outcome, branch probability).  Shared with the shot runner.
     """
     outcome, branch = _sample_outcome(amps, q, rng)
-    view = amps.reshape(-1, 2, 1 << q)
-    view[:, 1 - outcome, :] = 0.0
-    amps *= 1.0 / np.sqrt(branch)
+    _project(amps, q, outcome, branch)
     return outcome, branch
 
 
@@ -191,7 +196,5 @@ def postselect(state: StateVector, q: int, bit: int) -> StateVector | None:
     if branch < BRANCH_PROBABILITY_FLOOR:
         return None
     amps = state.amps.copy()
-    view = amps.reshape(-1, 2, 1 << q)
-    view[:, 1 - bit, :] = 0.0
-    amps *= 1.0 / np.sqrt(branch)
+    _project(amps, q, bit, branch)
     return StateVector(state.num_qubits, amps, copy=False)

@@ -15,16 +15,11 @@ measurement leaves it right after that measurement.  The state therefore
 holds only the *live* qubits, and its width is the plan's peak number of
 live qubits, not the declared qubits plus one per assertion ancilla:
 assertions that run one after another cost one extra qubit at peak.
-Circuits of at most _LIST_KERNEL_MAX_QUBITS qubits instead run at full
-width on a compiled plain-list kernel, where interpreter-level arithmetic
-beats numpy call overhead.  Both follow the same randomness draw order, so
-results stay deterministic for a fixed circuit.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -38,18 +33,14 @@ from .measurement import (
     _drop_qubit,
     _measure_drop,
     _measure_inplace,
+    _project,
 )
 from .noise import NoiseModel, _gate_noise_inplace, apply_readout_noise
-from .state import (
-    NORM_TOLERANCE,
-    Gate,
-    InvariantViolationError,
-    StateVector,
-    _apply_gate_inplace,
-)
+from .state import Gate, StateVector, _apply_gate_inplace
 
-_LIST_KERNEL_MAX_QUBITS = 7
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Most measurement branches exact_distribution visits: each is a state
+# copy, so the walk grows with 2**(measurements) on random outcomes.
+MAX_EXACT_BRANCHES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -181,7 +172,9 @@ def _liveness_plan(ops) -> _Plan:
 
 def _alloc_qubit(amps: np.ndarray) -> np.ndarray:
     """Tensor a new top qubit in as |0>."""
-    return np.concatenate((amps, np.zeros_like(amps)))
+    out = np.zeros(2 * amps.size, dtype=amps.dtype)
+    out[:amps.size] = amps
+    return out
 
 
 def _run_steps(amps, steps, rng, model, bits, projected) -> np.ndarray:
@@ -234,128 +227,6 @@ def _full_state(amps, plan: _Plan, projected, num_qubits: int) -> np.ndarray:
     return full.reshape(-1)
 
 
-def _qubit_tables(num_qubits: int):
-    """Per-qubit (pairs, zeros, ones) index tables for the list kernel."""
-    dim = 1 << num_qubits
-    tables = []
-    for q in range(num_qubits):
-        mask = 1 << q
-        zeros = [i for i in range(dim) if not i & mask]
-        ones = [i | mask for i in zeros]
-        tables.append((list(zip(zeros, ones)), zeros, ones))
-    return tables
-
-
-def _compile_list(ops, num_qubits: int, tables):
-    """Specialize ops into index-table steps for the list kernel."""
-    dim = 1 << num_qubits
-    steps = []
-    for op in ops:
-        if op[0] == "g":
-            gate = op[1]
-            if gate.name == "cnot":
-                control, target = gate.qubits
-                cm, tm = 1 << control, 1 << target
-                swaps = [
-                    (i, i | tm) for i in range(dim) if (i & cm) and not (i & tm)
-                ]
-                steps.append(("cnot", swaps, gate.qubits))
-            else:
-                q = gate.qubits[0]
-                pairs, _, ones = tables[q]
-                table = ones if gate.name in ("z", "s") else pairs
-                steps.append((gate.name, table, gate.qubits))
-        else:
-            _, q, slot = op
-            _, zeros, ones = tables[q]
-            steps.append(("m", slot, zeros, ones))
-    return steps
-
-
-def _list_pauli(st, pauli: str, tables, q: int) -> None:
-    pairs, _, ones = tables[q]
-    if pauli == "x":
-        for i, j in pairs:
-            st[i], st[j] = st[j], st[i]
-    elif pauli == "y":
-        for i, j in pairs:
-            a0 = st[i]
-            st[i] = st[j] * -1j
-            st[j] = a0 * 1j
-    else:
-        for i in ones:
-            st[i] = -st[i]
-
-
-def _run_ops_list(st, steps, rng, model, bits, tables) -> None:
-    # Mirrors _run_steps, including the randomness draw order.
-    gate_p = model.gate_flip_p if model is not None else 0.0
-    readout_p = model.readout_flip_p if model is not None else 0.0
-    depolarizing = model.depolarizing if model is not None else False
-    for step in steps:
-        kind = step[0]
-        if kind == "m":
-            _, slot, zeros, ones = step
-            p0 = 0.0
-            for i in zeros:
-                a = st[i]
-                p0 += a.real * a.real + a.imag * a.imag
-            p1 = 0.0
-            for i in ones:
-                a = st[i]
-                p1 += a.real * a.real + a.imag * a.imag
-            if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
-                raise InvariantViolationError(
-                    f"state norm drifted before measurement: sum |amp|^2 = {p0 + p1!r}"
-                )
-            outcome = 1 if rng.next_float() < p1 else 0
-            branch = p1 if outcome else p0
-            if branch <= 0.0:
-                raise InvariantViolationError(
-                    "measurement projected onto an empty branch"
-                )
-            scale = 1.0 / math.sqrt(branch)
-            kill, keep = (zeros, ones) if outcome else (ones, zeros)
-            for i in kill:
-                st[i] = 0j
-            for i in keep:
-                st[i] *= scale
-            if readout_p > 0.0 and rng.next_float() < readout_p:
-                outcome ^= 1
-            bits[slot] = outcome
-            continue
-        table = step[1]
-        if kind == "h":
-            for i, j in table:
-                a0 = st[i]
-                a1 = st[j]
-                st[i] = (a0 + a1) * _INV_SQRT2
-                st[j] = (a0 - a1) * _INV_SQRT2
-        elif kind in ("x", "cnot"):
-            for i, j in table:
-                st[i], st[j] = st[j], st[i]
-        elif kind == "y":
-            for i, j in table:
-                a0 = st[i]
-                st[i] = st[j] * -1j
-                st[j] = a0 * 1j
-        elif kind == "z":
-            for i in table:
-                st[i] = -st[i]
-        else:  # "s"
-            for i in table:
-                st[i] *= 1j
-        if gate_p > 0.0:
-            for q in step[2]:
-                if rng.next_float() < gate_p:
-                    if depolarizing:
-                        r = rng.next_float()
-                        pauli = "x" if r < 1.0 / 3.0 else ("y" if r < 2.0 / 3.0 else "z")
-                    else:
-                        pauli = "x"
-                    _list_pauli(st, pauli, tables, q)
-
-
 def _shared_prefix_len(steps, model: NoiseModel | None) -> int:
     """Number of leading steps that are the same in every shot.
 
@@ -372,48 +243,29 @@ def _shared_prefix_len(steps, model: NoiseModel | None) -> int:
 
 
 class _ShotProgram:
-    """A lowered circuit compiled once for many shots under one noise model.
-
-    Circuits of at most _LIST_KERNEL_MAX_QUBITS qubits run on the list
-    kernel at full width, wider ones on the liveness plan.  The shared
-    prefix runs once, into `base`.
-    """
+    """A lowered circuit compiled once, into a liveness plan, for many shots
+    under one noise model.  The shared prefix runs once, into `base`."""
 
     def __init__(self, circuit: Circuit, model: NoiseModel | None):
         ops, self.creg_names = _compile(circuit)
-        self.num_qubits = n = circuit.num_qubits
+        self.num_qubits = circuit.num_qubits
         self.model = model
         self.projected = [0] * len(self.creg_names)
-        if n <= _LIST_KERNEL_MAX_QUBITS:
-            self.plan = None
-            self.tables = _qubit_tables(n)
-            steps = _compile_list(ops, n, self.tables)
-            base = [0j] * (1 << n)
-            base[0] = 1.0 + 0j
-        else:
-            self.plan = _liveness_plan(ops)
-            steps = self.plan.steps
-            base = np.ones(1, dtype=np.complex128)
+        self.plan = _liveness_plan(ops)
+        steps = self.plan.steps
         k = _shared_prefix_len(steps, model)
-        self.base = self._run(base, steps[:k], None, None)
+        self.base = _run_steps(np.ones(1, dtype=np.complex128), steps[:k],
+                               None, None, None, None)
         self.rest = steps[k:]
-
-    def _run(self, state, steps, rng, bits):
-        if self.plan is None:
-            _run_ops_list(state, steps, rng, self.model, bits, self.tables)
-            return state
-        return _run_steps(state, steps, rng, self.model, bits, self.projected)
 
     def shot(self, rng: RngStream, bits: list[int]):
         """Run one shot, writing its recorded bits; returns its final state."""
-        return self._run(self.base.copy(), self.rest, rng, bits)
+        return _run_steps(self.base.copy(), self.rest, rng, self.model, bits,
+                          self.projected)
 
     def full_state(self, final) -> StateVector:
         """The final state of the latest shot over all declared qubits."""
-        if self.plan is None:
-            amps = np.array(final, dtype=np.complex128)
-        else:
-            amps = _full_state(final, self.plan, self.projected, self.num_qubits)
+        amps = _full_state(final, self.plan, self.projected, self.num_qubits)
         return StateVector(self.num_qubits, amps, copy=False)
 
 
@@ -510,26 +362,29 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
 
     Walks the liveness plan's measurement branches depth-first, with an
     explicit stack, and their analytic probabilities instead of sampling;
-    branches below BRANCH_PROBABILITY_FLOOR are dropped.
+    branches below BRANCH_PROBABILITY_FLOOR are dropped.  Raises ValueError
+    when the walk would visit more than MAX_EXACT_BRANCHES branches.
     """
     ops, creg_names = _compile(circuit)
     steps = _liveness_plan(ops).steps
     results: dict[str, float] = {}
     stack = [(0, np.ones(1, dtype=np.complex128), 1.0, [0] * len(creg_names))]
+    walked = 0
     while stack:
+        walked += 1
+        if walked > MAX_EXACT_BRANCHES:
+            raise ValueError(
+                f"exact distribution needs more than {MAX_EXACT_BRANCHES} "
+                "measurement branches; sample it with run_shots instead"
+            )
         i, amps, prob, bits = stack.pop()
-        while i < len(steps) and steps[i][0] != "m":
-            step = steps[i]
-            if step[0] == "g":
-                _apply_gate_inplace(amps, step[2], step[1])
-            else:
-                amps = _alloc_qubit(amps)
-            i += 1
-        if i == len(steps):
+        end = next((j for j in range(i, len(steps)) if steps[j][0] == "m"), len(steps))
+        amps = _run_steps(amps, steps[i:end], None, None, None, None)
+        if end == len(steps):
             key = "".join("01"[b] for b in bits)
             results[key] = results.get(key, 0.0) + prob
             continue
-        _, pos, slot, drop = steps[i]
+        _, pos, slot, drop = steps[end]
         p0, p1 = _branch_probabilities(amps, pos)
         # Pushed in reverse, so outcome 0 is walked first.
         for outcome, p in ((1, p1), (0, p0)):
@@ -539,11 +394,10 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
                 branch = _drop_qubit(amps, pos, outcome, p)
             else:
                 branch = amps.copy()
-                branch.reshape(-1, 2, 1 << pos)[:, 1 - outcome, :] = 0.0
-                branch *= 1.0 / np.sqrt(p)
+                _project(branch, pos, outcome, p)
             branch_bits = bits.copy()
             branch_bits[slot] = outcome
-            stack.append((i + 1, branch, prob * p, branch_bits))
+            stack.append((end + 1, branch, prob * p, branch_bits))
     return results
 
 

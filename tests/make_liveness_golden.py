@@ -1,9 +1,16 @@
 """Write tests/data/liveness_golden.json: reference counts for the shot executor.
 
-Each case is a seeded random circuit of 8-12 qubits after lowering, run
-under four noise settings.  Every circuit has an idle declared qubit, a
-qubit measured and then used again, and one assertion of each kind, so
-the counts pin down qubit allocation and release in the executor.
+Each case is a circuit run under four noise settings.  The circuits are:
+
+- seeded random circuits of 8-12 qubits after lowering, recorded by the
+  executor that kept every qubit at full width;
+- every tests/corpus/*.qac file, and seeded random circuits of 6-7
+  qubits after lowering, recorded by the plain-list kernel that ran
+  circuits of at most 7 qubits before one executor ran them all.
+
+Every random circuit has an idle declared qubit, a qubit measured and
+then used again, and one assertion of each kind, so the counts pin down
+qubit allocation and release in the executor.
 
 The fixture stores the circuit text next to its counts, so the test does
 not depend on this generator.  Usage, from the repository root:
@@ -20,7 +27,9 @@ from pathlib import Path
 from qassert import NoiseModel, lower_assertions, parse, run_shots
 
 FIXTURE = Path(__file__).parent / "data" / "liveness_golden.json"
-SEEDS = range(6)
+CORPUS = Path(__file__).parent / "corpus"
+WIDE_SEEDS = range(6)
+SMALL_SEEDS = range(6, 12)
 SHOTS = 150
 MODELS = {
     "none": None,
@@ -30,9 +39,8 @@ MODELS = {
 }
 
 
-def random_circuit(seed: int) -> str:
+def random_circuit(seed: int, n: int) -> str:
     rng = random.Random(f"liveness:{seed}")
-    n = 5 + seed % 5
     idle = rng.randrange(n)
     live = [q for q in range(n) if q != idle]
     body = []
@@ -45,7 +53,8 @@ def random_circuit(seed: int) -> str:
     reused, partner = rng.sample(live, 2)
     at = rng.randrange(4, len(body) - 4)
     body[at:at] = [f"measure {reused} -> mid", f"h {reused}", f"cnot {reused} {partner}"]
-    targets = " ".join(str(q) for q in rng.sample(live, rng.randint(2, 4)))
+    width = rng.randint(2, min(4, len(live)))
+    targets = " ".join(str(q) for q in rng.sample(live, width))
     checks = [
         f"assert_classical {rng.choice(live)} == {rng.randrange(2)} label c",
         f"assert_entangled {targets} parity {rng.randrange(2)} label e",
@@ -59,18 +68,29 @@ def random_circuit(seed: int) -> str:
     return "\n".join([f"qubits {n}"] + body) + "\n"
 
 
+def circuits() -> list[tuple[str, str]]:
+    """(name, source) of every circuit in the fixture, in recording order."""
+    found = [(None, random_circuit(seed, 5 + seed % 5)) for seed in WIDE_SEEDS]
+    found += [(path.stem, path.read_text(encoding="utf-8"))
+              for path in sorted(CORPUS.glob("*.qac"))]
+    found += [(f"small{seed}", random_circuit(seed, 3 + seed % 2))
+              for seed in SMALL_SEEDS]
+    return found
+
+
 def main() -> None:
     cases = []
-    for seed in SEEDS:
-        source = random_circuit(seed)
+    for index, (name, source) in enumerate(circuits()):
         lowered = lower_assertions(parse(source))
-        for name, model in MODELS.items():
-            master_seed = 1000 * seed + len(cases)
+        for model_name, model in MODELS.items():
+            master_seed = 1000 * index + len(cases)
             stats = run_shots(lowered, SHOTS, master_seed, model)
             cases.append({
+                # Wide cases are named by their seed, as when first recorded.
+                "name": name or f"seed{master_seed}",
                 "source": source,
                 "lowered_qubits": lowered.num_qubits,
-                "model": name,
+                "model": model_name,
                 "seed": master_seed,
                 "shots": SHOTS,
                 "counts": dict(sorted(stats.counts.items())),

@@ -136,6 +136,12 @@ class TestParseErrors:
             "duplicate assertion label",
         )
 
+    def test_empty_label_in_reserved_creg(self):
+        self.assert_error(
+            "qubits 1\nmeasure 0 -> __assert_\n", 2, "empty assertion label",
+            column=23,
+        )
+
     def test_trailing_tokens(self):
         self.assert_error("qubits 1\nh 0 1\n", 2, "trailing")
 
