@@ -136,6 +136,11 @@ def _cmd_run(args) -> int:
     if args.filtered and not args.expect:
         print("qassert: --filtered requires at least one --expect", file=sys.stderr)
         return EXIT_USAGE
+    if args.depolarizing and args.noise_gate_p is None:
+        print("qassert: --depolarizing requires --noise-gate-p: it chooses which "
+              "Pauli a gate error applies, not how often errors occur",
+              file=sys.stderr)
+        return EXIT_USAGE
 
     stats = run_shots(lowered, args.shots, args.seed, model)
     report = None

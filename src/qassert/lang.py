@@ -372,6 +372,13 @@ def lower_assertions(circuit: Circuit) -> Circuit:
     circuit.validate()
     if not circuit.has_assertions():
         return circuit
+    ancillas = sum(isinstance(i, AssertInstr) for i in circuit.instructions)
+    if circuit.num_qubits + ancillas > MAX_QUBITS:
+        raise ValueError(
+            f"{circuit.num_qubits} declared qubits plus {ancillas} assertion "
+            f"ancilla(s) come to {circuit.num_qubits + ancillas}, over "
+            f"MAX_QUBITS ({MAX_QUBITS})"
+        )
     used_cregs = set(circuit.creg_names)
     instructions: list[Instruction] = []
     next_ancilla = circuit.num_qubits

@@ -93,21 +93,25 @@ def prob_zero(state: StateVector, q: int) -> float:
     return _branch_probabilities(state.amps, q)[0]
 
 
-def _sample_outcome(amps: np.ndarray, q: int, rng: RngStream) -> tuple[int, float]:
-    """Draw the outcome of measuring qubit q: (outcome, branch probability).
-
-    The sampling convention is: outcome 1 iff the next uniform < P(1).
-    """
+def _checked_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
+    """(P(0), P(1)) of measuring qubit q, after checking the state's norm."""
     p0, p1 = _branch_probabilities(amps, q)
     if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
         raise InvariantViolationError(
             f"state norm drifted before measurement: sum |amp|^2 = {p0 + p1!r}"
         )
-    outcome = 1 if rng.next_float() < p1 else 0
-    branch = p1 if outcome else p0
+    return p0, p1
+
+
+def _draw_outcome(p1: float, rng: RngStream) -> int:
+    """The sampling convention: outcome 1 iff the next uniform < P(1)."""
+    return 1 if rng.next_float() < p1 else 0
+
+
+def _check_branch(branch: float) -> None:
+    """Reject an outcome drawn from a branch that carries no probability."""
     if branch <= 0.0:
         raise InvariantViolationError("measurement projected onto an empty branch")
-    return outcome, branch
 
 
 def _project(amps: np.ndarray, q: int, bit: int, branch: float) -> None:
@@ -115,16 +119,6 @@ def _project(amps: np.ndarray, q: int, bit: int, branch: float) -> None:
     that branch's probability `branch`."""
     amps.reshape(-1, 2, 1 << q)[:, 1 - bit, :] = 0.0
     amps *= 1.0 / np.sqrt(branch)
-
-
-def _measure_inplace(amps: np.ndarray, q: int, rng: RngStream) -> tuple[int, float]:
-    """Sample qubit q, project amps in place, and renormalize.
-
-    Returns (outcome, branch probability).  Shared with the shot runner.
-    """
-    outcome, branch = _sample_outcome(amps, q, rng)
-    _project(amps, q, outcome, branch)
-    return outcome, branch
 
 
 def _drop_qubit(amps: np.ndarray, q: int, bit: int, branch: float) -> np.ndarray:
@@ -136,23 +130,17 @@ def _drop_qubit(amps: np.ndarray, q: int, bit: int, branch: float) -> np.ndarray
     return (amps.reshape(-1, 2, 1 << q)[:, bit, :] * (1.0 / np.sqrt(branch))).reshape(-1)
 
 
-def _measure_drop(amps: np.ndarray, q: int, rng: RngStream) -> tuple[int, np.ndarray]:
-    """Sample qubit q, then remove it from the state: (outcome, new state).
-
-    Same draw and checks as _measure_inplace, for a qubit that is never
-    used again.
-    """
-    outcome, branch = _sample_outcome(amps, q, rng)
-    return outcome, _drop_qubit(amps, q, outcome, branch)
-
-
 def measure(
     state: StateVector, q: int, rng: RngStream
 ) -> tuple[MeasurementRecord, StateVector]:
     """Measure qubit q, returning the record and the projected state."""
     _check_qubit(state, q)
+    probs = _checked_probabilities(state.amps, q)
+    outcome = _draw_outcome(probs[1], rng)
+    branch = probs[outcome]
+    _check_branch(branch)
     amps = state.amps.copy()
-    outcome, branch = _measure_inplace(amps, q, rng)
+    _project(amps, q, outcome, branch)
     record = MeasurementRecord(qubit=q, outcome=outcome, probability_of_outcome=branch)
     return record, StateVector(state.num_qubits, amps, copy=False)
 
@@ -170,15 +158,11 @@ def sample_measurements(
     _check_qubit(state, q)
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
-    p0, p1 = _branch_probabilities(state.amps, q)
-    if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
-        raise InvariantViolationError(
-            f"state norm drifted before measurement: sum |amp|^2 = {p0 + p1!r}"
-        )
-    ones = 0
-    for i in range(shots):
-        if RngStream.for_shot(master_seed, shot_offset + i).next_float() < p1:
-            ones += 1
+    p1 = _checked_probabilities(state.amps, q)[1]
+    ones = sum(
+        _draw_outcome(p1, RngStream.for_shot(master_seed, shot_offset + i))
+        for i in range(shots)
+    )
     return {0: shots - ones, 1: ones}
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .measurement import RngStream
 from .state import Gate, StateVector, _apply_gate_inplace
 
@@ -36,24 +34,17 @@ class NoiseModel:
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
 
 
-def _gate_noise_inplace(
-    amps: np.ndarray,
-    num_qubits: int,
-    touched: Sequence[int],
-    model: NoiseModel,
-    rng: RngStream,
-) -> None:
-    p = model.gate_flip_p
-    if p <= 0.0:
-        return
-    for q in touched:
-        if rng.next_float() < p:
-            if model.depolarizing:
-                r = rng.next_float()
-                name = "x" if r < 1.0 / 3.0 else ("y" if r < 2.0 / 3.0 else "z")
-            else:
-                name = "x"
-            _apply_gate_inplace(amps, num_qubits, Gate(name, (q,)))
+def _draw_pauli(model: NoiseModel, rng: RngStream) -> str | None:
+    """Draw the error on one touched qubit: "x", "y", "z" or None.
+
+    Consumes one uniform, plus one more when a depolarizing error fires.
+    """
+    if rng.next_float() >= model.gate_flip_p:
+        return None
+    if not model.depolarizing:
+        return "x"
+    r = rng.next_float()
+    return "x" if r < 1.0 / 3.0 else ("y" if r < 2.0 / 3.0 else "z")
 
 
 def apply_gate_noise(
@@ -66,7 +57,11 @@ def apply_gate_noise(
                 f"qubit {q} out of range for {state.num_qubits}-qubit state"
             )
     amps = state.amps.copy()
-    _gate_noise_inplace(amps, state.num_qubits, touched, model, rng)
+    if model.gate_flip_p > 0.0:
+        for q in touched:
+            name = _draw_pauli(model, rng)
+            if name is not None:
+                _apply_gate_inplace(amps, state.num_qubits, Gate(name, (q,)))
     return StateVector(state.num_qubits, amps, copy=False)
 
 

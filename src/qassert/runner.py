@@ -15,6 +15,17 @@ measurement leaves it right after that measurement.  The state therefore
 holds only the *live* qubits, and its width is the plan's peak number of
 live qubits, not the declared qubits plus one per assertion ancilla:
 assertions that run one after another cost one extra qubit at peak.
+
+Shots run in blocks of SHOT_BLOCK down one outcome tree
+(`_ShotProgram.walk`).  A gate runs once per tree node, and the shots of
+a node part only where their own random draws differ: at a measurement
+outcome, or at the Pauli a gate-noise site fires.  Without gate noise a
+run therefore costs one pass over the state per distinct outcome history,
+not per shot; a passing assertion, whose ancilla reads 0 in every shot,
+does not split the tree at all.  Each shot still draws from its own
+stream in the documented order, so every shot comes out exactly as it
+does alone (`run_single`).  The walk keeps at most
+log2(SHOT_BLOCK) + 1 states alive.
 """
 
 from __future__ import annotations
@@ -30,17 +41,23 @@ from .measurement import (
     BRANCH_PROBABILITY_FLOOR,
     RngStream,
     _branch_probabilities,
+    _check_branch,
+    _checked_probabilities,
+    _draw_outcome,
     _drop_qubit,
-    _measure_drop,
-    _measure_inplace,
     _project,
 )
-from .noise import NoiseModel, _gate_noise_inplace, apply_readout_noise
+from .noise import NoiseModel, _draw_pauli, apply_readout_noise
 from .state import Gate, StateVector, _apply_gate_inplace
 
 # Most measurement branches exact_distribution visits: each is a state
 # copy, so the walk grows with 2**(measurements) on random outcomes.
 MAX_EXACT_BRANCHES = 1 << 16
+
+# Shots walked down one outcome tree together.  It bounds the streams and
+# bits held at once, and the log2(SHOT_BLOCK) + 1 states a walk keeps
+# alive; results do not depend on it.
+SHOT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -177,31 +194,28 @@ def _alloc_qubit(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_steps(amps, steps, rng, model, bits, projected) -> np.ndarray:
-    """Execute plan steps on the live qubits' amplitudes; returns the
-    final state.  bits[slot] gets each recorded bit, projected[slot] the
-    outcome before readout noise."""
-    gate_noise = model is not None and model.gate_flip_p > 0.0
-    readout_noise = model is not None and model.readout_flip_p > 0.0
+def _segments(steps) -> tuple:
+    """Split plan steps at every step that draws randomness: a tuple of
+    (alloc and gate steps, the branch step after them), the last with
+    branch step None."""
+    segments, run = [], []
     for step in steps:
-        kind = step[0]
-        if kind == "g":
-            _, gate, width = step
-            _apply_gate_inplace(amps, width, gate)
-            if gate_noise:
-                _gate_noise_inplace(amps, width, gate.qubits, model, rng)
-        elif kind == "a":
-            amps = _alloc_qubit(amps)
+        if step[0] in ("a", "g"):
+            run.append(step)
         else:
-            _, pos, slot, drop = step
-            if drop:
-                outcome, amps = _measure_drop(amps, pos, rng)
-            else:
-                outcome, _ = _measure_inplace(amps, pos, rng)
-            projected[slot] = outcome
-            if readout_noise:
-                outcome = apply_readout_noise(outcome, model, rng)
-            bits[slot] = outcome
+            segments.append((tuple(run), step))
+            run = []
+    segments.append((tuple(run), None))
+    return tuple(segments)
+
+
+def _run_gates(amps, gates) -> np.ndarray:
+    """Run a segment's alloc and gate steps; returns the new state."""
+    for step in gates:
+        if step[0] == "g":
+            _apply_gate_inplace(amps, step[2], step[1])
+        else:
+            amps = _alloc_qubit(amps)
     return amps
 
 
@@ -227,45 +241,140 @@ def _full_state(amps, plan: _Plan, projected, num_qubits: int) -> np.ndarray:
     return full.reshape(-1)
 
 
-def _shared_prefix_len(steps, model: NoiseModel | None) -> int:
-    """Number of leading steps that are the same in every shot.
+def _partition(group: list, keys: list) -> dict:
+    """Split `group` by the parallel list `keys`: {key: shots with it}."""
+    if keys.count(keys[0]) == len(keys):
+        return {keys[0]: group}
+    parts: dict = {}
+    for shot, key in zip(group, keys):
+        parts.setdefault(key, []).append(shot)
+    return parts
 
-    Without gate noise nothing before the first measurement draws
-    randomness, so those steps run once and are copied per shot.  With
-    gate noise every shot must replay them.
+
+def _enter(amps, projected, step, event, copy: bool):
+    """The state of the subgroup that took `event` at branch step `step`.
+
+    With `copy` the subgroup gets its own array and projected bits;
+    otherwise it takes over the parent's.  A subgroup walked before its
+    largest sibling copies even when its event changes nothing, since its
+    later in-place steps would otherwise corrupt that sibling's state.
     """
-    if model is not None and model.gate_flip_p > 0.0:
-        return 0
-    k = 0
-    while k < len(steps) and steps[k][0] != "m":
-        k += 1
-    return k
+    if copy:
+        projected = projected.copy()
+    if step[0] == "m":
+        _, pos, slot, drop = step
+        outcome, branch = event
+        projected[slot] = outcome
+        if drop:
+            return _drop_qubit(amps, pos, outcome, branch), projected
+        if copy:
+            amps = amps.copy()
+        _project(amps, pos, outcome, branch)
+        return amps, projected
+    if copy:
+        amps = amps.copy()
+    if event is not None:
+        _, pos, width = step
+        _apply_gate_inplace(amps, width, Gate(event, (pos,)))
+    return amps, projected
 
 
 class _ShotProgram:
     """A lowered circuit compiled once, into a liveness plan, for many shots
-    under one noise model.  The shared prefix runs once, into `base`."""
+    under one noise model.
+
+    `walk` runs a group of shots down the outcome tree.  Gate and alloc
+    steps run once per tree node.  The steps that branch are the
+    measurements and, under gate noise, one noise site ("n", position,
+    width) per qubit each gate touches.  There every shot of the group
+    draws from its own stream, exactly as a lone shot would, and the group
+    splits by the random event: the Pauli that fired (or none), or the
+    outcome before readout noise, since a readout flip changes the
+    recorded bit and never the state.  Shots whose draws agree therefore
+    share every array operation.
+
+    At a split the largest subgroup keeps the parent's array and is walked
+    last; every other subgroup copies it when it is walked.  A parent's
+    array stays alive only while a copying subgroup below it is walked, and
+    a copying subgroup holds at most half the parent's shots, so at most
+    log2(len(group)) + 1 states, the current one included, are alive at once.
+    """
 
     def __init__(self, circuit: Circuit, model: NoiseModel | None):
         ops, self.creg_names = _compile(circuit)
         self.num_qubits = circuit.num_qubits
         self.model = model
-        self.projected = [0] * len(self.creg_names)
         self.plan = _liveness_plan(ops)
-        steps = self.plan.steps
-        k = _shared_prefix_len(steps, model)
-        self.base = _run_steps(np.ones(1, dtype=np.complex128), steps[:k],
-                               None, None, None, None)
-        self.rest = steps[k:]
+        gate_noise = model is not None and model.gate_flip_p > 0.0
+        self.readout_noise = model is not None and model.readout_flip_p > 0.0
+        steps = []
+        for step in self.plan.steps:
+            steps.append(step)
+            if gate_noise and step[0] == "g":
+                steps += [("n", pos, step[2]) for pos in step[1].qubits]
+        self.segments = _segments(steps)
 
-    def shot(self, rng: RngStream, bits: list[int]):
-        """Run one shot, writing its recorded bits; returns its final state."""
-        return _run_steps(self.base.copy(), self.rest, rng, self.model, bits,
-                          self.projected)
+    def _measure(self, amps, step, group) -> dict:
+        """Draw every shot's outcome at measurement `step`, record its bit,
+        and split the group by outcome: {(outcome, branch): shots}."""
+        _, pos, slot, _ = step
+        probs = _checked_probabilities(amps, pos)
+        outcomes = [_draw_outcome(probs[1], rng) for rng, _ in group]
+        for (rng, bits), outcome in zip(group, outcomes):
+            if self.readout_noise:
+                outcome = apply_readout_noise(outcome, self.model, rng)
+            bits[slot] = outcome
+        parts = {}
+        for outcome, shots in _partition(group, outcomes).items():
+            _check_branch(probs[outcome])
+            parts[outcome, probs[outcome]] = shots
+        return parts
 
-    def full_state(self, final) -> StateVector:
-        """The final state of the latest shot over all declared qubits."""
-        amps = _full_state(final, self.plan, self.projected, self.num_qubits)
+    def walk(self, group: list):
+        """Run `group`, a list of (RngStream, bits) shots, to the end of the
+        circuit, writing each shot's recorded bits.  Yields (final state,
+        projected bits, shots) once per distinct outcome history; projected
+        bits are the outcomes before readout noise, by creg slot."""
+        segments = self.segments
+        projected = [0] * len(self.creg_names)
+        stack = [(0, np.ones(1, dtype=np.complex128), projected, group, None, None, False)]
+        while stack:
+            k, amps, projected, group, step, event, copy = stack.pop()
+            if step is not None:
+                amps, projected = _enter(amps, projected, step, event, copy)
+            while True:
+                gates, step = segments[k]
+                k += 1
+                if gates:
+                    amps = _run_gates(amps, gates)
+                if step is None:
+                    yield amps, projected, group
+                    break
+                if step[0] == "m":
+                    parts = self._measure(amps, step, group)
+                elif len(group) == 1:
+                    event = _draw_pauli(self.model, group[0][0])
+                    if event is not None:
+                        amps, projected = _enter(amps, projected, step, event, False)
+                    continue
+                else:
+                    draws = [_draw_pauli(self.model, rng) for rng, _ in group]
+                    if draws.count(None) == len(draws):
+                        continue
+                    parts = _partition(group, draws)
+                if len(parts) == 1:
+                    ((event, group),) = parts.items()
+                    amps, projected = _enter(amps, projected, step, event, False)
+                    continue
+                largest = max(parts, key=lambda e: len(parts[e]))
+                stack.append((k, amps, projected, parts.pop(largest), step, largest, False))
+                stack += [(k, amps, projected, shots, step, event, True)
+                          for event, shots in parts.items()]
+                break
+
+    def full_state(self, final, projected) -> StateVector:
+        """A final state of `walk` over all declared qubits."""
+        amps = _full_state(final, self.plan, projected, self.num_qubits)
         return StateVector(self.num_qubits, amps, copy=False)
 
 
@@ -294,14 +403,18 @@ def run_shots(
 
     counts: dict[str, int] = {}
     fail_counts = {label: 0 for label in assertion_labels}
-    bits = [0] * len(creg_names)
-    for i in range(shots):
-        program.shot(RngStream.for_shot(master_seed, shot_offset + i), bits)
-        key = "".join("01"[b] for b in bits)
-        counts[key] = counts.get(key, 0) + 1
-        for label, slot in assert_slots:
-            if bits[slot]:
-                fail_counts[label] += 1
+    for start in range(0, shots, SHOT_BLOCK):
+        block = [
+            (RngStream.for_shot(master_seed, shot_offset + i), [0] * len(creg_names))
+            for i in range(start, min(shots, start + SHOT_BLOCK))
+        ]
+        for _, _, group in program.walk(block):
+            for _, bits in group:
+                key = "".join("01"[b] for b in bits)
+                counts[key] = counts.get(key, 0) + 1
+                for label, slot in assert_slots:
+                    if bits[slot]:
+                        fail_counts[label] += 1
     return RunStatistics(
         total_shots=shots,
         creg_names=creg_names,
@@ -328,13 +441,14 @@ def run_single(
     program = _ShotProgram(circuit, model)
     creg_names = program.creg_names
     bits = [0] * len(creg_names)
-    final = program.shot(RngStream.for_shot(master_seed, shot_index), bits)
+    shot = (RngStream.for_shot(master_seed, shot_index), bits)
+    ((final, projected, _),) = program.walk([shot])
     creg_values = dict(zip(creg_names, bits))
     outcomes = {
         label: "fail" if creg_values[ASSERT_CREG_PREFIX + label] else "pass"
         for label in circuit.assertion_labels
     }
-    return ShotRecord(creg_values, outcomes), program.full_state(final)
+    return ShotRecord(creg_values, outcomes), program.full_state(final, projected)
 
 
 def merge_statistics(a: RunStatistics, b: RunStatistics) -> RunStatistics:
@@ -366,7 +480,7 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     when the walk would visit more than MAX_EXACT_BRANCHES branches.
     """
     ops, creg_names = _compile(circuit)
-    steps = _liveness_plan(ops).steps
+    segments = _segments(_liveness_plan(ops).steps)
     results: dict[str, float] = {}
     stack = [(0, np.ones(1, dtype=np.complex128), 1.0, [0] * len(creg_names))]
     walked = 0
@@ -377,14 +491,14 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
                 f"exact distribution needs more than {MAX_EXACT_BRANCHES} "
                 "measurement branches; sample it with run_shots instead"
             )
-        i, amps, prob, bits = stack.pop()
-        end = next((j for j in range(i, len(steps)) if steps[j][0] == "m"), len(steps))
-        amps = _run_steps(amps, steps[i:end], None, None, None, None)
-        if end == len(steps):
+        k, amps, prob, bits = stack.pop()
+        gates, step = segments[k]
+        amps = _run_gates(amps, gates)
+        if step is None:
             key = "".join("01"[b] for b in bits)
             results[key] = results.get(key, 0.0) + prob
             continue
-        _, pos, slot, drop = steps[end]
+        _, pos, slot, drop = step
         p0, p1 = _branch_probabilities(amps, pos)
         # Pushed in reverse, so outcome 0 is walked first.
         for outcome, p in ((1, p1), (0, p0)):
@@ -397,7 +511,7 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
                 _project(branch, pos, outcome, p)
             branch_bits = bits.copy()
             branch_bits[slot] = outcome
-            stack.append((end + 1, branch, prob * p, branch_bits))
+            stack.append((k + 1, branch, prob * p, branch_bits))
     return results
 
 

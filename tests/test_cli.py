@@ -108,6 +108,18 @@ class TestRun:
                      "--noise-gate-p", "1.5"]) == 1
         assert "gate_flip_p" in capsys.readouterr().err
 
+    def test_depolarizing_requires_gate_p(self, bell_file, capsys):
+        assert main(["run", bell_file, "--shots", "10", "--seed", "0",
+                     "--depolarizing"]) == 1
+        assert "--depolarizing requires --noise-gate-p" in capsys.readouterr().err
+
+    def test_ancillas_past_max_qubits(self, tmp_path, capsys):
+        path = tmp_path / "wide.qac"
+        path.write_text("qubits 24\nh 0\nassert_superposition 0 label sp\n")
+        assert main(["run", str(path), "--shots", "10", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "24 declared qubits plus 1 assertion ancilla(s) come to 25" in err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -298,6 +298,15 @@ class TestLowering:
         with pytest.raises(ValueError, match="duplicate assertion label"):
             lower_assertions(circuit)
 
+    def test_ancillas_past_max_qubits(self):
+        circuit = parse("qubits 23\nassert_classical 0 == 0\nassert_classical 1 == 0\n")
+        with pytest.raises(
+            ValueError,
+            match=r"23 declared qubits plus 2 assertion ancilla\(s\) come to 25, "
+            r"over MAX_QUBITS \(24\)",
+        ):
+            lower_assertions(circuit)
+
     def test_ancillas_in_assertion_order(self):
         circuit = parse(
             "qubits 1\nassert_superposition 0 label s\nassert_classical 0 == 0 label c\n"

@@ -26,6 +26,7 @@ from qassert import (
     run_single,
     states_equal_up_to_global_phase,
 )
+import qassert.runner as runner
 from qassert.runner import _compile, _liveness_plan
 
 from helpers import binomial_4sigma
@@ -64,6 +65,9 @@ cnot 1 5
 x 5
 assert_entangled 6 2 parity 0 label e
 """
+
+# Each distinct fixture circuit once: the corpus files and the random ones.
+GOLDEN_SOURCES = {c["source"]: c["name"] for c in GOLDEN}
 
 FINAL_STATE_SOURCES = {
     f"{c['lowered_qubits']}q-{c['name']}": c["source"]
@@ -277,6 +281,61 @@ class TestLiveness:
             circuit = lowered("\n".join(source) + "\n")
             assert circuit.num_qubits == declared
             assert _liveness_plan(_compile(circuit)[0]).peak_width == peak
+
+
+class TestOutcomeTree:
+    """run_shots walks a block of shots down one outcome tree; every shot
+    must still come out as it does when run alone."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("source", GOLDEN_SOURCES, ids=GOLDEN_SOURCES.values())
+    def test_counts_aggregate_single_shots(self, source, model):
+        circuit = lowered(source)
+        shots = 100
+        singles: dict[str, int] = {}
+        for i in range(shots):
+            record, _ = run_single(circuit, 12, MODELS[model], shot_index=i)
+            key = "".join(str(record.creg_values[c]) for c in circuit.creg_names)
+            singles[key] = singles.get(key, 0) + 1
+        assert run_shots(circuit, shots, 12, MODELS[model]).counts == singles
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize(
+        "case", GOLDEN[::3], ids=lambda c: f"{c['name']}-{c['model']}"
+    )
+    def test_counts_do_not_depend_on_shot_block(self, case, block, monkeypatch):
+        monkeypatch.setattr(runner, "SHOT_BLOCK", block)
+        circuit = lowered(case["source"])
+        stats = run_shots(circuit, case["shots"], case["seed"], MODELS[case["model"]])
+        assert stats.counts == case["counts"]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_offset_runs_merge_across_blocks(self, model, monkeypatch):
+        monkeypatch.setattr(runner, "SHOT_BLOCK", 3)
+        circuit = lowered(BELL_SOURCE)
+        whole = run_shots(circuit, 200, 9, MODELS[model])
+        first = run_shots(circuit, 107, 9, MODELS[model])
+        second = run_shots(circuit, 93, 9, MODELS[model], shot_offset=107)
+        assert merge_statistics(first, second) == whole
+
+    @pytest.mark.parametrize("model", ["none", "readout"])
+    def test_shared_gates_run_once(self, model, monkeypatch):
+        # Without gate noise every Bell shot shares the state up to the
+        # first data measurement, and no gate follows it.
+        applied = []
+
+        def counting(amps, width, gate):
+            applied.append(gate)
+            apply(amps, width, gate)
+
+        apply = runner._apply_gate_inplace
+        monkeypatch.setattr(runner, "_apply_gate_inplace", counting)
+        circuit = lowered(BELL_SOURCE)
+        gate_steps = [s for s in _liveness_plan(_compile(circuit)[0]).steps
+                      if s[0] == "g"]
+        stats = run_shots(circuit, 1000, 3, MODELS[model])
+        assert sum(stats.counts.values()) == 1000
+        assert applied == [step[1] for step in gate_steps]
 
 
 class TestExactDistribution:
