@@ -16,16 +16,18 @@ holds only the *live* qubits, and its width is the plan's peak number of
 live qubits, not the declared qubits plus one per assertion ancilla:
 assertions that run one after another cost one extra qubit at peak.
 
-Shots run in blocks of SHOT_BLOCK down one outcome tree
-(`_ShotProgram.walk`).  A gate runs once per tree node, and the shots of
-a node part only where their own random draws differ: at a measurement
-outcome, or at the Pauli a gate-noise site fires.  Without gate noise a
-run therefore costs one pass over the state per distinct outcome history,
-not per shot; a passing assertion, whose ancilla reads 0 in every shot,
-does not split the tree at all.  Each shot still draws from its own
-stream in the documented order, so every shot comes out exactly as it
-does alone (`run_single`).  The walk keeps at most
-log2(SHOT_BLOCK) + 1 states alive.
+One engine walks the plan's outcome tree (`_ShotProgram.walk`): a gate
+runs once per tree node, and at a branch step a split rule names the
+branches taken.  Under the shot rule, a block of SHOT_BLOCK shots parts
+only where their own random draws differ: at a measurement outcome, or
+at the Pauli a gate-noise site fires.  Without gate noise a run therefore
+costs one pass over the state per distinct outcome history, not per shot;
+a passing assertion, whose ancilla reads 0 in every shot, does not split
+the tree at all.  Each shot still draws from its own stream in the
+documented order, so every shot comes out exactly as it does alone
+(`run_single`), and at most log2(SHOT_BLOCK) + 1 states are alive.  Under
+the exact rule (`exact_distribution`) a measurement takes every outcome
+that carries probability, weighted by it, instead of drawing one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .lang import ASSERT_CREG_PREFIX, Circuit, GateInstr
 from .measurement import (
     BRANCH_PROBABILITY_FLOOR,
     RngStream,
-    _branch_probabilities,
     _check_branch,
     _checked_probabilities,
     _draw_outcome,
@@ -50,8 +51,8 @@ from .measurement import (
 from .noise import NoiseModel, _draw_pauli, apply_readout_noise
 from .state import Gate, StateVector, _apply_gate_inplace
 
-# Most measurement branches exact_distribution visits: each is a state
-# copy, so the walk grows with 2**(measurements) on random outcomes.
+# Most measurement branches exact_distribution visits: each holds a
+# state, so the walk grows with 2**(measurements) on random outcomes.
 MAX_EXACT_BRANCHES = 1 << 16
 
 # Shots walked down one outcome tree together.  It bounds the streams and
@@ -252,12 +253,12 @@ def _partition(group: list, keys: list) -> dict:
 
 
 def _enter(amps, projected, step, event, copy: bool):
-    """The state of the subgroup that took `event` at branch step `step`.
+    """The state of the branch that took `event` at branch step `step`.
 
-    With `copy` the subgroup gets its own array and projected bits;
-    otherwise it takes over the parent's.  A subgroup walked before its
-    largest sibling copies even when its event changes nothing, since its
-    later in-place steps would otherwise corrupt that sibling's state.
+    With `copy` the branch gets its own array and projected bits;
+    otherwise it takes over the parent's.  A branch walked before the last
+    copies even when its event changes nothing, since its later in-place
+    steps would otherwise corrupt the last branch's state.
     """
     if copy:
         projected = projected.copy()
@@ -280,24 +281,26 @@ def _enter(amps, projected, step, event, copy: bool):
 
 
 class _ShotProgram:
-    """A lowered circuit compiled once, into a liveness plan, for many shots
-    under one noise model.
+    """A lowered circuit compiled once, into a liveness plan, under one
+    noise model (None for `exact_distribution`).
 
-    `walk` runs a group of shots down the outcome tree.  Gate and alloc
-    steps run once per tree node.  The steps that branch are the
-    measurements and, under gate noise, one noise site ("n", position,
-    width) per qubit each gate touches.  There every shot of the group
+    `walk` runs the plan down its outcome tree.  Gate and alloc steps run
+    once per tree node.  The steps that branch are the measurements and,
+    under gate noise, one noise site ("n", position, width) per qubit each
+    gate touches.  There a split rule lists the branches taken as (event,
+    payload): the event is (outcome, its probability) or the Pauli that
+    fired (or None).  The last branch keeps the parent's array and is
+    walked last; every other branch copies it when it is walked.
+
+    The shot rule, `split_shots`, carries a group of shots.  Every shot
     draws from its own stream, exactly as a lone shot would, and the group
-    splits by the random event: the Pauli that fired (or none), or the
-    outcome before readout noise, since a readout flip changes the
-    recorded bit and never the state.  Shots whose draws agree therefore
-    share every array operation.
-
-    At a split the largest subgroup keeps the parent's array and is walked
-    last; every other subgroup copies it when it is walked.  A parent's
-    array stays alive only while a copying subgroup below it is walked, and
-    a copying subgroup holds at most half the parent's shots, so at most
-    log2(len(group)) + 1 states, the current one included, are alive at once.
+    splits by the random event: the Pauli, or the outcome before readout
+    noise, since a readout flip changes the recorded bit and never the
+    state.  Shots whose draws agree therefore share every array operation.
+    The largest subgroup goes last.  A parent's array stays alive only
+    while a copying subgroup below it is walked, and a copying subgroup
+    holds at most half the parent's shots, so at most log2(len(group)) + 1
+    states, the current one included, are alive at once.
     """
 
     def __init__(self, circuit: Circuit, model: NoiseModel | None):
@@ -314,32 +317,40 @@ class _ShotProgram:
                 steps += [("n", pos, step[2]) for pos in step[1].qubits]
         self.segments = _segments(steps)
 
-    def _measure(self, amps, step, group) -> dict:
-        """Draw every shot's outcome at measurement `step`, record its bit,
-        and split the group by outcome: {(outcome, branch): shots}."""
-        _, pos, slot, _ = step
-        probs = _checked_probabilities(amps, pos)
-        outcomes = [_draw_outcome(probs[1], rng) for rng, _ in group]
-        for (rng, bits), outcome in zip(group, outcomes):
-            if self.readout_noise:
-                outcome = apply_readout_noise(outcome, self.model, rng)
-            bits[slot] = outcome
-        parts = {}
-        for outcome, shots in _partition(group, outcomes).items():
-            _check_branch(probs[outcome])
-            parts[outcome, probs[outcome]] = shots
-        return parts
+    def split_shots(self, amps, step, group) -> list:
+        """The shot rule: draw every shot's event at branch step `step`,
+        record its measured bit, and split `group`, a list of
+        (RngStream, bits) shots, by event: [(event, shots)], largest last."""
+        if step[0] == "n":
+            if len(group) == 1:
+                return [(_draw_pauli(self.model, group[0][0]), group)]
+            parts = _partition(group, [_draw_pauli(self.model, rng) for rng, _ in group])
+        else:
+            _, pos, slot, _ = step
+            probs = _checked_probabilities(amps, pos)
+            outcomes = [_draw_outcome(probs[1], rng) for rng, _ in group]
+            for (rng, bits), outcome in zip(group, outcomes):
+                if self.readout_noise:
+                    outcome = apply_readout_noise(outcome, self.model, rng)
+                bits[slot] = outcome
+            parts = {}
+            for outcome, shots in _partition(group, outcomes).items():
+                _check_branch(probs[outcome])
+                parts[outcome, probs[outcome]] = shots
+        largest = max(parts, key=lambda e: len(parts[e]))
+        shots = parts.pop(largest)
+        return [*parts.items(), (largest, shots)]
 
-    def walk(self, group: list):
-        """Run `group`, a list of (RngStream, bits) shots, to the end of the
-        circuit, writing each shot's recorded bits.  Yields (final state,
-        projected bits, shots) once per distinct outcome history; projected
-        bits are the outcomes before readout noise, by creg slot."""
+    def walk(self, payload, split: Callable):
+        """Run the circuit from `payload` at the root, taking at each branch
+        step the branches `split(amps, step, payload)` lists.  Yields
+        (final state, projected bits, payload) once per leaf; projected bits
+        are the measurement outcomes before readout noise, by creg slot."""
         segments = self.segments
         projected = [0] * len(self.creg_names)
-        stack = [(0, np.ones(1, dtype=np.complex128), projected, group, None, None, False)]
+        stack = [(0, np.ones(1, dtype=np.complex128), projected, payload, None, None, False)]
         while stack:
-            k, amps, projected, group, step, event, copy = stack.pop()
+            k, amps, projected, payload, step, event, copy = stack.pop()
             if step is not None:
                 amps, projected = _enter(amps, projected, step, event, copy)
             while True:
@@ -348,28 +359,16 @@ class _ShotProgram:
                 if gates:
                     amps = _run_gates(amps, gates)
                 if step is None:
-                    yield amps, projected, group
+                    yield amps, projected, payload
                     break
-                if step[0] == "m":
-                    parts = self._measure(amps, step, group)
-                elif len(group) == 1:
-                    event = _draw_pauli(self.model, group[0][0])
+                *others, (event, payload) = split(amps, step, payload)
+                if not others:
                     if event is not None:
                         amps, projected = _enter(amps, projected, step, event, False)
                     continue
-                else:
-                    draws = [_draw_pauli(self.model, rng) for rng, _ in group]
-                    if draws.count(None) == len(draws):
-                        continue
-                    parts = _partition(group, draws)
-                if len(parts) == 1:
-                    ((event, group),) = parts.items()
-                    amps, projected = _enter(amps, projected, step, event, False)
-                    continue
-                largest = max(parts, key=lambda e: len(parts[e]))
-                stack.append((k, amps, projected, parts.pop(largest), step, largest, False))
-                stack += [(k, amps, projected, shots, step, event, True)
-                          for event, shots in parts.items()]
+                stack.append((k, amps, projected, payload, step, event, False))
+                stack += [(k, amps, projected, branch, step, branch_event, True)
+                          for branch_event, branch in others]
                 break
 
     def full_state(self, final, projected) -> StateVector:
@@ -408,7 +407,7 @@ def run_shots(
             (RngStream.for_shot(master_seed, shot_offset + i), [0] * len(creg_names))
             for i in range(start, min(shots, start + SHOT_BLOCK))
         ]
-        for _, _, group in program.walk(block):
+        for _, _, group in program.walk(block, program.split_shots):
             for _, bits in group:
                 key = "".join("01"[b] for b in bits)
                 counts[key] = counts.get(key, 0) + 1
@@ -442,7 +441,7 @@ def run_single(
     creg_names = program.creg_names
     bits = [0] * len(creg_names)
     shot = (RngStream.for_shot(master_seed, shot_index), bits)
-    ((final, projected, _),) = program.walk([shot])
+    ((final, projected, _),) = program.walk([shot], program.split_shots)
     creg_values = dict(zip(creg_names, bits))
     outcomes = {
         label: "fail" if creg_values[ASSERT_CREG_PREFIX + label] else "pass"
@@ -474,45 +473,34 @@ def merge_statistics(a: RunStatistics, b: RunStatistics) -> RunStatistics:
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
     """Exact noiseless outcome distribution over creg bitstrings.
 
-    Walks the liveness plan's measurement branches depth-first, with an
-    explicit stack, and their analytic probabilities instead of sampling;
-    branches below BRANCH_PROBABILITY_FLOOR are dropped.  Raises ValueError
-    when the walk would visit more than MAX_EXACT_BRANCHES branches.
+    Walks the outcome tree with the exact rule: at each measurement it
+    takes both outcomes, weighted by their analytic probabilities, instead
+    of sampling one; outcomes below BRANCH_PROBABILITY_FLOOR are dropped.
+    Every measurement writes its own creg, so each leaf is one bitstring.
+    Raises ValueError when the walk would visit more than
+    MAX_EXACT_BRANCHES branches.
     """
-    ops, creg_names = _compile(circuit)
-    segments = _segments(_liveness_plan(ops).steps)
-    results: dict[str, float] = {}
-    stack = [(0, np.ones(1, dtype=np.complex128), 1.0, [0] * len(creg_names))]
-    walked = 0
-    while stack:
-        walked += 1
+    walked = 1
+
+    def split(amps, step, prob):
+        nonlocal walked
+        probs = _checked_probabilities(amps, step[1])
+        # The likelier outcome keeps the array; on a tie, 0 is walked first.
+        branches = sorted(
+            (((outcome, p), prob * p) for outcome, p in enumerate(probs)
+             if p >= BRANCH_PROBABILITY_FLOOR),
+            key=lambda branch: branch[0][1],
+        )
+        walked += len(branches)
         if walked > MAX_EXACT_BRANCHES:
             raise ValueError(
                 f"exact distribution needs more than {MAX_EXACT_BRANCHES} "
                 "measurement branches; sample it with run_shots instead"
             )
-        k, amps, prob, bits = stack.pop()
-        gates, step = segments[k]
-        amps = _run_gates(amps, gates)
-        if step is None:
-            key = "".join("01"[b] for b in bits)
-            results[key] = results.get(key, 0.0) + prob
-            continue
-        _, pos, slot, drop = step
-        p0, p1 = _branch_probabilities(amps, pos)
-        # Pushed in reverse, so outcome 0 is walked first.
-        for outcome, p in ((1, p1), (0, p0)):
-            if p < BRANCH_PROBABILITY_FLOOR:
-                continue
-            if drop:
-                branch = _drop_qubit(amps, pos, outcome, p)
-            else:
-                branch = amps.copy()
-                _project(branch, pos, outcome, p)
-            branch_bits = bits.copy()
-            branch_bits[slot] = outcome
-            stack.append((k + 1, branch, prob * p, branch_bits))
-    return results
+        return branches
+
+    leaves = _ShotProgram(circuit, None).walk(1.0, split)
+    return {"".join("01"[b] for b in bits): prob for _, bits, prob in leaves}
 
 
 def compute_filter_report(

@@ -6,6 +6,7 @@ import pytest
 
 from qassert import (
     Circuit,
+    InvariantViolationError,
     NoiseModel,
     RunStatistics,
     StateVector,
@@ -344,16 +345,21 @@ class TestExactDistribution:
         assert dist == pytest.approx({"000": 0.5, "011": 0.5}, abs=1e-12)
 
     def test_matches_brute_force_oracle(self, corpus_files):
+        # The fixture's random circuits take the walk's drop, project and
+        # copy paths: each has an idle qubit, a measured-then-reused qubit
+        # and all three assertion kinds.
+        sources = {path.read_text(): path.name for path in corpus_files}
+        sources.update(GOLDEN_SOURCES)
         checked = 0
-        for path in corpus_files:
-            circuit = lowered(path.read_text())
-            if circuit.num_qubits > 4:
+        for source, name in sources.items():
+            circuit = lowered(source)
+            if circuit.num_qubits > 8:
                 continue
             mine = exact_distribution(circuit)
             reference = brute_force_distribution(circuit)
-            assert l1_distance(mine, reference) < 1e-10, path.name
+            assert l1_distance(mine, reference) < 1e-10, name
             checked += 1
-        assert checked >= 8
+        assert checked >= 20
 
     def test_matches_sampled_frequencies(self):
         circuit = lowered(
@@ -374,12 +380,32 @@ class TestExactDistribution:
         assert exact_distribution(parse(source)) == {"0" * 2000: 1.0}
 
     def test_branch_bound(self):
-        # 16 uniformly random measurements would walk 2**17 - 1 branches.
-        source = "qubits 16\n" + "".join(
-            f"h {q}\nmeasure {q} -> m{q}\n" for q in range(16)
-        )
+        def pairs(n):
+            return f"qubits {n}\n" + "".join(
+                f"h {q}\nmeasure {q} -> m{q}\n" for q in range(n)
+            )
+
+        # 15 uniformly random measurements walk 2**16 - 1 branches, within
+        # the budget; 16 would walk 2**17 - 1.
+        dist = exact_distribution(parse(pairs(15)))
+        assert len(dist) == 1 << 15
+        assert all(p == pytest.approx(2.0**-15, rel=1e-12) for p in dist.values())
         with pytest.raises(ValueError, match="more than 65536 measurement branches"):
-            exact_distribution(parse(source))
+            exact_distribution(parse(pairs(16)))
+
+    def test_norm_drift_raises(self, monkeypatch):
+        apply = runner._apply_gate_inplace
+        drifted = []
+
+        def drifting(amps, width, gate):
+            apply(amps, width, gate)
+            if not drifted:
+                amps *= 1.0 + 1e-6
+                drifted.append(gate)
+
+        monkeypatch.setattr(runner, "_apply_gate_inplace", drifting)
+        with pytest.raises(InvariantViolationError, match="norm drifted"):
+            exact_distribution(lowered(BELL_SOURCE))
 
 
 def table1_stats() -> RunStatistics:
