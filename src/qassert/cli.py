@@ -78,6 +78,9 @@ def _load_circuit(path: str):
     except OSError as exc:
         print(f"qassert: cannot read {path}: {exc}", file=sys.stderr)
         return None
+    except UnicodeDecodeError as exc:
+        print(f"qassert: cannot read {path}: not UTF-8 text ({exc})", file=sys.stderr)
+        return None
     try:
         return parse(source)
     except ParseError as exc:

@@ -15,6 +15,9 @@ measurement leaves it right after that measurement.  The state therefore
 holds only the *live* qubits, and its width is the plan's peak number of
 live qubits, not the declared qubits plus one per assertion ancilla:
 assertions that run one after another cost one extra qubit at peak.
+`_ShotProgram` compiles the plan in one pass over the instructions, as
+segments: runs of alloc and gate steps cut at every step that draws
+randomness (a measurement or a gate-noise site).
 
 One engine walks the plan's outcome tree (`_ShotProgram.walk`): a gate
 runs once per tree node, and at a branch step a split rule names the
@@ -116,98 +119,11 @@ class FilterReport:
     kept_fraction: float
 
 
-def _compile(circuit: Circuit):
-    """Flatten instructions into (ops, creg names); ops are
-    ("g", Gate) or ("m", qubit, creg slot)."""
-    circuit.validate()
-    if circuit.has_assertions():
-        raise ValueError(
-            "circuit still contains assertion statements; run lower_assertions first"
-        )
-    creg_names = circuit.creg_names
-    creg_slot = {name: i for i, name in enumerate(creg_names)}
-    ops = []
-    for instr in circuit.instructions:
-        if isinstance(instr, GateInstr):
-            ops.append(("g", instr.gate))
-        else:
-            ops.append(("m", instr.qubit, creg_slot[instr.creg]))
-    return ops, creg_names
-
-
-def _operands(op) -> tuple[int, ...]:
-    return op[1].qubits if op[0] == "g" else (op[1],)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Liveness plan: `_compile`'s ops as steps on physical positions.
-
-    Steps are ("a",), which tensors a new top qubit in as |0>;
-    ("g", gate on positions, width); and ("m", position, creg slot, drop).
-    A dropping measurement removes its qubit from the state, and the
-    qubits above it move down one position.  `layout` is the logical qubit
-    at each position after the last step; `dropped` maps each removed
-    qubit to the creg slot of its final measurement.
-    """
-
-    steps: tuple
-    peak_width: int
-    layout: tuple[int, ...]
-    dropped: dict[int, int]
-
-
-def _liveness_plan(ops) -> _Plan:
-    """Allocate each qubit just before its first op; drop it after its
-    final measurement when that measurement is its last use."""
-    last_use = {}
-    for i, op in enumerate(ops):
-        for q in _operands(op):
-            last_use[q] = i
-    layout: list[int] = []
-    dropped: dict[int, int] = {}
-    steps = []
-    peak = 0
-    for i, op in enumerate(ops):
-        qubits = _operands(op)
-        for q in qubits:
-            if q not in layout:
-                layout.append(q)
-                steps.append(("a",))
-        peak = max(peak, len(layout))
-        if op[0] == "g":
-            gate = Gate(op[1].name, tuple(layout.index(q) for q in qubits))
-            steps.append(("g", gate, len(layout)))
-        else:
-            _, q, slot = op
-            drop = last_use[q] == i
-            steps.append(("m", layout.index(q), slot, drop))
-            if drop:
-                layout.remove(q)
-                dropped[q] = slot
-    return _Plan(tuple(steps), peak, tuple(layout), dropped)
-
-
 def _alloc_qubit(amps: np.ndarray) -> np.ndarray:
     """Tensor a new top qubit in as |0>."""
     out = np.zeros(2 * amps.size, dtype=amps.dtype)
     out[:amps.size] = amps
     return out
-
-
-def _segments(steps) -> tuple:
-    """Split plan steps at every step that draws randomness: a tuple of
-    (alloc and gate steps, the branch step after them), the last with
-    branch step None."""
-    segments, run = [], []
-    for step in steps:
-        if step[0] in ("a", "g"):
-            run.append(step)
-        else:
-            segments.append((tuple(run), step))
-            run = []
-    segments.append((tuple(run), None))
-    return tuple(segments)
 
 
 def _run_gates(amps, gates) -> np.ndarray:
@@ -218,28 +134,6 @@ def _run_gates(amps, gates) -> np.ndarray:
         else:
             amps = _alloc_qubit(amps)
     return amps
-
-
-def _full_state(amps, plan: _Plan, projected, num_qubits: int) -> np.ndarray:
-    """Re-expand a plan's final state to all `num_qubits` qubits.
-
-    Live qubits keep their amplitudes, a dropped qubit goes back in at its
-    projected bit, and a qubit that was never used goes in as |0>.
-    """
-    width = len(plan.layout)
-    # Tensor axis k holds position width-1-k; order the live axes by
-    # descending logical qubit, as in the full register.
-    order = sorted(range(width), key=lambda p: plan.layout[p], reverse=True)
-    live = amps.reshape((2,) * width).transpose([width - 1 - p for p in order])
-    index = tuple(
-        slice(None) if q in plan.layout
-        else projected[plan.dropped[q]] if q in plan.dropped
-        else 0
-        for q in reversed(range(num_qubits))
-    )
-    full = np.zeros((2,) * num_qubits, dtype=np.complex128)
-    full[index] = live
-    return full.reshape(-1)
 
 
 def _partition(group: list, keys: list) -> dict:
@@ -281,16 +175,33 @@ def _enter(amps, projected, step, event, copy: bool):
 
 
 class _ShotProgram:
-    """A lowered circuit compiled once, into a liveness plan, under one
-    noise model (None for `exact_distribution`).
+    """A lowered circuit compiled once, under one noise model (None for
+    `exact_distribution`), into the segments `walk` runs.
 
-    `walk` runs the plan down its outcome tree.  Gate and alloc steps run
-    once per tree node.  The steps that branch are the measurements and,
-    under gate noise, one noise site ("n", position, width) per qubit each
-    gate touches.  There a split rule lists the branches taken as (event,
-    payload): the event is (outcome, its probability) or the Pauli that
-    fired (or None).  The last branch keeps the parent's array and is
-    walked last; every other branch copies it when it is walked.
+    Compiling is one pass over the instructions, after a scan for each
+    qubit's last use, and it emits steps on physical positions:
+    - ("a",) tensors a new top qubit in as |0>, just before the qubit's
+      first instruction;
+    - ("g", gate on positions, width) runs a gate;
+    - ("m", position, creg slot, drop) measures a qubit.  The slot counts
+      the measurements before it, since `creg_names` is in measurement
+      order.  A measurement that is its qubit's last use drops the qubit:
+      it leaves the state, and the qubits above it move down one position;
+    - ("n", position, width), under gate noise only, is the noise site
+      after a gate on each qubit the gate touches.
+    Measurements and noise sites are the branch steps.  `segments` holds
+    (alloc and gate steps, the branch step after them), the last with
+    branch step None.  `layout` is the logical qubit at each position
+    after the last step, `dropped` maps each dropped qubit to the creg
+    slot of its final measurement, and `peak_width` is the most qubits
+    alive at once.
+
+    `walk` runs the segments down their outcome tree.  Gate and alloc
+    steps run once per tree node.  At a branch step a split rule lists the
+    branches taken as (event, payload): the event is (outcome, its
+    probability) or the Pauli that fired (or None).  The last branch keeps
+    the parent's array and is walked last; every other branch copies it
+    when it is walked.
 
     The shot rule, `split_shots`, carries a group of shots.  Every shot
     draws from its own stream, exactly as a lone shot would, and the group
@@ -304,18 +215,49 @@ class _ShotProgram:
     """
 
     def __init__(self, circuit: Circuit, model: NoiseModel | None):
-        ops, self.creg_names = _compile(circuit)
+        circuit.validate()
+        if circuit.has_assertions():
+            raise ValueError(
+                "circuit still contains assertion statements; run lower_assertions first"
+            )
+        self.creg_names = circuit.creg_names
         self.num_qubits = circuit.num_qubits
         self.model = model
-        self.plan = _liveness_plan(ops)
         gate_noise = model is not None and model.gate_flip_p > 0.0
         self.readout_noise = model is not None and model.readout_flip_p > 0.0
-        steps = []
-        for step in self.plan.steps:
-            steps.append(step)
-            if gate_noise and step[0] == "g":
-                steps += [("n", pos, step[2]) for pos in step[1].qubits]
-        self.segments = _segments(steps)
+        last_use = {}
+        for i, instr in enumerate(circuit.instructions):
+            for q in instr.gate.qubits if isinstance(instr, GateInstr) else (instr.qubit,):
+                last_use[q] = i
+        layout: list[int] = []
+        self.dropped: dict[int, int] = {}
+        self.peak_width = 0
+        segments, run, slot = [], [], 0
+        for i, instr in enumerate(circuit.instructions):
+            qubits = instr.gate.qubits if isinstance(instr, GateInstr) else (instr.qubit,)
+            for q in qubits:
+                if q not in layout:
+                    layout.append(q)
+                    run.append(("a",))
+            width = len(layout)
+            self.peak_width = max(self.peak_width, width)
+            positions = tuple(layout.index(q) for q in qubits)
+            if isinstance(instr, GateInstr):
+                run.append(("g", Gate(instr.gate.name, positions), width))
+                branch_steps = [("n", pos, width) for pos in positions] if gate_noise else []
+            else:
+                drop = last_use[instr.qubit] == i
+                branch_steps = [("m", positions[0], slot, drop)]
+                if drop:
+                    layout.remove(instr.qubit)
+                    self.dropped[instr.qubit] = slot
+                slot += 1
+            for step in branch_steps:
+                segments.append((tuple(run), step))
+                run = []
+        segments.append((tuple(run), None))
+        self.segments = tuple(segments)
+        self.layout = tuple(layout)
 
     def split_shots(self, amps, step, group) -> list:
         """The shot rule: draw every shot's event at branch step `step`,
@@ -372,9 +314,25 @@ class _ShotProgram:
                 break
 
     def full_state(self, final, projected) -> StateVector:
-        """A final state of `walk` over all declared qubits."""
-        amps = _full_state(final, self.plan, projected, self.num_qubits)
-        return StateVector(self.num_qubits, amps, copy=False)
+        """A final state of `walk` over all declared qubits.
+
+        Live qubits keep their amplitudes, a dropped qubit goes back in at
+        its projected bit, and a qubit that was never used goes in as |0>.
+        """
+        layout, width, n = self.layout, len(self.layout), self.num_qubits
+        # Tensor axis k holds position width-1-k; order the live axes by
+        # descending logical qubit, as in the full register.
+        order = sorted(range(width), key=lambda p: layout[p], reverse=True)
+        live = final.reshape((2,) * width).transpose([width - 1 - p for p in order])
+        index = tuple(
+            slice(None) if q in layout
+            else projected[self.dropped[q]] if q in self.dropped
+            else 0
+            for q in reversed(range(n))
+        )
+        full = np.zeros((2,) * n, dtype=np.complex128)
+        full[index] = live
+        return StateVector(n, full.reshape(-1), copy=False)
 
 
 def run_shots(

@@ -86,7 +86,7 @@ class StateVector:
             raise ValueError(
                 f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {num_qubits!r}"
             )
-        arr = np.array(amps, dtype=np.complex128, copy=copy)
+        arr = (np.array if copy else np.asarray)(amps, dtype=np.complex128)
         if arr.shape != (1 << num_qubits,):
             raise ValueError(
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "

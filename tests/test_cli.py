@@ -48,6 +48,19 @@ class TestCheck:
         assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [("check", []), ("lower", []), ("run", ["--shots", "10", "--seed", "1"])],
+)
+def test_non_utf8_file_names_its_path(tmp_path, capsys, command, options):
+    path = tmp_path / "latin1.qac"
+    path.write_bytes(b"qubits 1\nmeasure 0 -> m\xff\n")
+    assert main([command, str(path), *options]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"qassert: cannot read {path}: not UTF-8 text (")
+    assert "0xff" in err
+
+
 class TestLower:
     def test_output_reparses_to_lowered_circuit(self, bell_file, capsys):
         assert main(["lower", bell_file]) == 0

@@ -9,7 +9,10 @@ from qassert import (
     apply_gate_noise,
     apply_readout_noise,
     ket,
+    lower_assertions,
     new_basis_state,
+    parse,
+    run_shots,
     states_equal_up_to_global_phase,
 )
 
@@ -96,3 +99,39 @@ class TestReadoutNoise:
             apply_readout_noise(0, model, RngStream.for_shot(13, i)) for i in range(n)
         )
         assert abs(flips / n - 0.03) < binomial_4sigma(0.03, n)
+
+
+class TestDrawOrder:
+    """The module's draw-order contract, counted over whole runs."""
+
+    # Lowered, this has three measurements and four gates (h, then three
+    # cnots) that touch seven qubits in all, so seven noise sites.
+    BELL = """\
+qubits 2
+h 0
+cnot 0 1
+assert_entangled 0 1 parity 0
+measure 0 -> m0
+measure 1 -> m1
+"""
+
+    @pytest.mark.parametrize("model, per_shot", [
+        (None, 3),
+        (NoiseModel(gate_flip_p=1e-300), 3 + 7),
+        (NoiseModel(gate_flip_p=1.0, depolarizing=True), 3 + 7 + 7),
+        (NoiseModel(readout_flip_p=0.5), 3 + 3),
+        (NoiseModel(gate_flip_p=1.0, depolarizing=True, readout_flip_p=1e-300), 3 + 7 + 7 + 3),
+    ])
+    def test_draws_per_shot(self, model, per_shot, monkeypatch):
+        draws = 0
+        original = RngStream.next_float
+
+        def counting(rng):
+            nonlocal draws
+            draws += 1
+            return original(rng)
+
+        monkeypatch.setattr(RngStream, "next_float", counting)
+        stats = run_shots(lower_assertions(parse(self.BELL)), 1000, 5, model)
+        assert stats.total_shots == 1000
+        assert draws == 1000 * per_shot

@@ -28,7 +28,6 @@ from qassert import (
     states_equal_up_to_global_phase,
 )
 import qassert.runner as runner
-from qassert.runner import _compile, _liveness_plan
 
 from helpers import binomial_4sigma
 from make_liveness_golden import FIXTURE, MODELS
@@ -281,7 +280,7 @@ class TestLiveness:
         for source, declared, peak in ((ghz, 18, 15), (pairs, 20, 19)):
             circuit = lowered("\n".join(source) + "\n")
             assert circuit.num_qubits == declared
-            assert _liveness_plan(_compile(circuit)[0]).peak_width == peak
+            assert runner._ShotProgram(circuit, None).peak_width == peak
 
 
 class TestOutcomeTree:
@@ -332,8 +331,8 @@ class TestOutcomeTree:
         apply = runner._apply_gate_inplace
         monkeypatch.setattr(runner, "_apply_gate_inplace", counting)
         circuit = lowered(BELL_SOURCE)
-        gate_steps = [s for s in _liveness_plan(_compile(circuit)[0]).steps
-                      if s[0] == "g"]
+        gate_steps = [s for gates, _ in runner._ShotProgram(circuit, None).segments
+                      for s in gates if s[0] == "g"]
         stats = run_shots(circuit, 1000, 3, MODELS[model])
         assert sum(stats.counts.values()) == 1000
         assert applied == [step[1] for step in gate_steps]

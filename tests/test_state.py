@@ -73,6 +73,13 @@ class TestConstruction:
         with pytest.raises(InvariantViolationError):
             StateVector(1, np.array([np.nan, 0.0], dtype=complex))
 
+    def test_no_copy_still_converts(self):
+        # copy=False skips the copy only when the input is already complex.
+        for amps in ([1, 0], np.array([1.0, 0.0])):
+            st = StateVector(1, amps, copy=False)
+            assert st.amps.dtype == np.complex128
+            np.testing.assert_array_equal(st.amps, [1, 0])
+
     def test_amps_are_read_only(self):
         st = new_basis_state(1)
         with pytest.raises(ValueError):
