@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_circuit(path: str):
     try:
-        source = Path(path).read_text(encoding="utf-8")
+        source = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"qassert: cannot read {path}: {exc}", file=sys.stderr)
         return None

@@ -365,9 +365,10 @@ def lower_assertions(circuit: Circuit) -> Circuit:
 
     Each ancilla widens the declared register, which MAX_QUBITS bounds,
     but not the simulated state: the shot executor allocates a qubit at
-    its first use and drops it after a measurement that is its last use,
-    so the state width is the peak number of live qubits.  Assertions
-    that run one after another cost one extra qubit at peak, not one each.
+    its first use and drops it at every measurement, until a later use
+    brings it back, so the state width is the peak number of live qubits.
+    Assertions that run one after another cost one extra qubit at peak,
+    not one each.
     """
     circuit.validate()
     if not circuit.has_assertions():

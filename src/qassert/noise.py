@@ -61,7 +61,7 @@ def apply_gate_noise(
         for q in touched:
             name = _draw_pauli(model, rng)
             if name is not None:
-                _apply_gate_inplace(amps, state.num_qubits, Gate(name, (q,)))
+                _apply_gate_inplace(amps, Gate(name, (q,)))
     return StateVector(state.num_qubits, amps, copy=False)
 
 

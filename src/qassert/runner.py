@@ -10,8 +10,9 @@ Post-selection keeps only passing shots; `compute_filter_report` compares
 the error rate before and after that filter.
 
 Execution follows a static liveness plan: each qubit enters the state as
-|0> just before its first instruction, and a qubit whose last use is a
-measurement leaves it right after that measurement.  The state therefore
+|0> just before its first instruction and leaves it at every measurement,
+after which it holds no quantum information; its next use brings it back
+in at the bit measured (before readout noise).  The state therefore
 holds only the *live* qubits, and its width is the plan's peak number of
 live qubits, not the declared qubits plus one per assertion ancilla:
 assertions that run one after another cost one extra qubit at peak.
@@ -49,7 +50,6 @@ from .measurement import (
     _checked_probabilities,
     _draw_outcome,
     _drop_qubit,
-    _project,
 )
 from .noise import NoiseModel, _draw_pauli, apply_readout_noise
 from .state import Gate, StateVector, _apply_gate_inplace
@@ -119,20 +119,20 @@ class FilterReport:
     kept_fraction: float
 
 
-def _alloc_qubit(amps: np.ndarray) -> np.ndarray:
-    """Tensor a new top qubit in as |0>."""
+def _alloc_qubit(amps: np.ndarray, bit: int) -> np.ndarray:
+    """Tensor a new top qubit in as |bit>."""
     out = np.zeros(2 * amps.size, dtype=amps.dtype)
-    out[:amps.size] = amps
+    out.reshape(2, -1)[bit] = amps
     return out
 
 
-def _run_gates(amps, gates) -> np.ndarray:
+def _run_gates(amps, gates, projected) -> np.ndarray:
     """Run a segment's alloc and gate steps; returns the new state."""
     for step in gates:
         if step[0] == "g":
-            _apply_gate_inplace(amps, step[2], step[1])
+            _apply_gate_inplace(amps, step[1])
         else:
-            amps = _alloc_qubit(amps)
+            amps = _alloc_qubit(amps, 0 if step[1] is None else projected[step[1]])
     return amps
 
 
@@ -149,28 +149,23 @@ def _partition(group: list, keys: list) -> dict:
 def _enter(amps, projected, step, event, copy: bool):
     """The state of the branch that took `event` at branch step `step`.
 
-    With `copy` the branch gets its own array and projected bits;
-    otherwise it takes over the parent's.  A branch walked before the last
-    copies even when its event changes nothing, since its later in-place
-    steps would otherwise corrupt the last branch's state.
+    With `copy` the branch gets its own projected bits and, at a noise
+    site, its own array: a branch walked before the last copies even when
+    no Pauli fired, since its later in-place steps would otherwise corrupt
+    the last branch's state.  A measurement drops its qubit into a new
+    array, so it never writes into the parent's.
     """
     if copy:
         projected = projected.copy()
     if step[0] == "m":
-        _, pos, slot, drop = step
+        _, pos, slot = step
         outcome, branch = event
         projected[slot] = outcome
-        if drop:
-            return _drop_qubit(amps, pos, outcome, branch), projected
-        if copy:
-            amps = amps.copy()
-        _project(amps, pos, outcome, branch)
-        return amps, projected
+        return _drop_qubit(amps, pos, outcome, branch), projected
     if copy:
         amps = amps.copy()
     if event is not None:
-        _, pos, width = step
-        _apply_gate_inplace(amps, width, Gate(event, (pos,)))
+        _apply_gate_inplace(amps, Gate(event, (step[1],)))
     return amps, projected
 
 
@@ -178,30 +173,32 @@ class _ShotProgram:
     """A lowered circuit compiled once, under one noise model (None for
     `exact_distribution`), into the segments `walk` runs.
 
-    Compiling is one pass over the instructions, after a scan for each
-    qubit's last use, and it emits steps on physical positions:
-    - ("a",) tensors a new top qubit in as |0>, just before the qubit's
-      first instruction;
-    - ("g", gate on positions, width) runs a gate;
-    - ("m", position, creg slot, drop) measures a qubit.  The slot counts
-      the measurements before it, since `creg_names` is in measurement
-      order.  A measurement that is its qubit's last use drops the qubit:
-      it leaves the state, and the qubits above it move down one position;
-    - ("n", position, width), under gate noise only, is the noise site
-      after a gate on each qubit the gate touches.
+    Compiling is one pass over the instructions, and it emits steps on
+    physical positions:
+    - ("a", slot) tensors a qubit in as a new top position before a use
+      while it is out of the state: at |0> on its first use (slot None),
+      else at the projected bit of `slot`, its last measurement;
+    - ("g", gate on positions) runs a gate;
+    - ("m", position, creg slot) measures a qubit and drops it: it leaves
+      the state, and the qubits above it move down one position.  The
+      slot counts the measurements before it, since `creg_names` is in
+      measurement order;
+    - ("n", position), under gate noise only, is the noise site after a
+      gate on each qubit the gate touches.
     Measurements and noise sites are the branch steps.  `segments` holds
     (alloc and gate steps, the branch step after them), the last with
     branch step None.  `layout` is the logical qubit at each position
-    after the last step, `dropped` maps each dropped qubit to the creg
-    slot of its final measurement, and `peak_width` is the most qubits
-    alive at once.
+    after the last step, `dropped` maps each measured qubit that is out
+    of the state at the end to the creg slot of its last measurement, and
+    `peak_width` is the most qubits alive at once.
 
     `walk` runs the segments down their outcome tree.  Gate and alloc
     steps run once per tree node.  At a branch step a split rule lists the
     branches taken as (event, payload): the event is (outcome, its
-    probability) or the Pauli that fired (or None).  The last branch keeps
-    the parent's array and is walked last; every other branch copies it
-    when it is walked.
+    probability) or the Pauli that fired (or None).  Each measurement
+    branch drops its qubit into a new array.  At a noise site the last
+    branch keeps the parent's array and is walked last; every other
+    branch copies it when it is walked.
 
     The shot rule, `split_shots`, carries a group of shots.  Every shot
     draws from its own stream, exactly as a lone shot would, and the group
@@ -225,32 +222,25 @@ class _ShotProgram:
         self.model = model
         gate_noise = model is not None and model.gate_flip_p > 0.0
         self.readout_noise = model is not None and model.readout_flip_p > 0.0
-        last_use = {}
-        for i, instr in enumerate(circuit.instructions):
-            for q in instr.gate.qubits if isinstance(instr, GateInstr) else (instr.qubit,):
-                last_use[q] = i
         layout: list[int] = []
         self.dropped: dict[int, int] = {}
         self.peak_width = 0
         segments, run, slot = [], [], 0
-        for i, instr in enumerate(circuit.instructions):
+        for instr in circuit.instructions:
             qubits = instr.gate.qubits if isinstance(instr, GateInstr) else (instr.qubit,)
             for q in qubits:
                 if q not in layout:
                     layout.append(q)
-                    run.append(("a",))
-            width = len(layout)
-            self.peak_width = max(self.peak_width, width)
+                    run.append(("a", self.dropped.pop(q, None)))
+            self.peak_width = max(self.peak_width, len(layout))
             positions = tuple(layout.index(q) for q in qubits)
             if isinstance(instr, GateInstr):
-                run.append(("g", Gate(instr.gate.name, positions), width))
-                branch_steps = [("n", pos, width) for pos in positions] if gate_noise else []
+                run.append(("g", Gate(instr.gate.name, positions)))
+                branch_steps = [("n", pos) for pos in positions] if gate_noise else []
             else:
-                drop = last_use[instr.qubit] == i
-                branch_steps = [("m", positions[0], slot, drop)]
-                if drop:
-                    layout.remove(instr.qubit)
-                    self.dropped[instr.qubit] = slot
+                branch_steps = [("m", positions[0], slot)]
+                layout.remove(instr.qubit)
+                self.dropped[instr.qubit] = slot
                 slot += 1
             for step in branch_steps:
                 segments.append((tuple(run), step))
@@ -268,7 +258,7 @@ class _ShotProgram:
                 return [(_draw_pauli(self.model, group[0][0]), group)]
             parts = _partition(group, [_draw_pauli(self.model, rng) for rng, _ in group])
         else:
-            _, pos, slot, _ = step
+            _, pos, slot = step
             probs = _checked_probabilities(amps, pos)
             outcomes = [_draw_outcome(probs[1], rng) for rng, _ in group]
             for (rng, bits), outcome in zip(group, outcomes):
@@ -299,7 +289,7 @@ class _ShotProgram:
                 gates, step = segments[k]
                 k += 1
                 if gates:
-                    amps = _run_gates(amps, gates)
+                    amps = _run_gates(amps, gates, projected)
                 if step is None:
                     yield amps, projected, payload
                     break
@@ -352,14 +342,7 @@ def run_shots(
     program = _ShotProgram(circuit, model)
     creg_names = program.creg_names
 
-    assertion_labels = circuit.assertion_labels
-    assert_slots = [
-        (label, creg_names.index(ASSERT_CREG_PREFIX + label))
-        for label in assertion_labels
-    ]
-
     counts: dict[str, int] = {}
-    fail_counts = {label: 0 for label in assertion_labels}
     for start in range(0, shots, SHOT_BLOCK):
         block = [
             (RngStream.for_shot(master_seed, shot_offset + i), [0] * len(creg_names))
@@ -369,13 +352,14 @@ def run_shots(
             for _, bits in group:
                 key = "".join("01"[b] for b in bits)
                 counts[key] = counts.get(key, 0) + 1
-                for label, slot in assert_slots:
-                    if bits[slot]:
-                        fail_counts[label] += 1
+    fail_counts = {}
+    for label in circuit.assertion_labels:
+        slot = creg_names.index(ASSERT_CREG_PREFIX + label)
+        fail_counts[label] = sum(n for key, n in counts.items() if key[slot] == "1")
     return RunStatistics(
         total_shots=shots,
         creg_names=creg_names,
-        assertion_labels=assertion_labels,
+        assertion_labels=circuit.assertion_labels,
         counts=counts,
         assertion_fail_counts=fail_counts,
     )
@@ -507,7 +491,7 @@ def _pct(value: float) -> str:
 def _row_meaning(
     bitstring: str,
     stats: RunStatistics,
-    expected: Iterable[str] | None,
+    expected: set[str] | None,
 ) -> str:
     assert_pos = stats.assertion_positions()
     parts = []
@@ -524,7 +508,7 @@ def _row_meaning(
     tag = ""
     if expected is not None:
         data = "".join(bitstring[i] for i in stats.data_positions())
-        ok = data in set(expected)
+        ok = data in expected
         parts.append("expected data" if ok else "unexpected data")
         if assert_pos:
             failed_any = any(bitstring[i] == "1" for i in assert_pos)
@@ -546,6 +530,8 @@ def _render_table(
         for key in sorted(meta):
             lines.append(f"# {key}: {meta[key]}")
     lines.append(f"shots: {stats.total_shots}")
+    if expected is not None:
+        expected = set(expected)
     if stats.creg_names:
         lines.append("cregs: " + " ".join(stats.creg_names))
         width = max(len("outcome"), len(stats.creg_names))
@@ -589,7 +575,7 @@ def _render_json(
         "counts": dict(sorted(stats.counts.items())),
         "rates": {k: v / total for k, v in sorted(stats.counts.items())} if total else {},
         "assertion_fail_counts": dict(stats.assertion_fail_counts),
-        "expected": sorted(expected) if expected is not None else None,
+        "expected": sorted(set(expected)) if expected is not None else None,
         "filter": None,
         "meta": dict(meta) if meta else {},
     }

@@ -203,7 +203,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n}-qubit state")
     amps = state.amps.copy()
-    _apply_gate_inplace(amps, n, gate)
+    _apply_gate_inplace(amps, gate)
     norm_sq = float(np.sum(amps.real**2 + amps.imag**2))
     if abs(norm_sq - 1.0) > NORM_TOLERANCE:
         raise InvariantViolationError(
@@ -212,7 +212,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return StateVector(n, amps, copy=False)
 
 
-def _apply_h(amps: np.ndarray, n: int, q: int) -> None:
+def _apply_h(amps: np.ndarray, q: int) -> None:
     view = amps.reshape(-1, 2, 1 << q)
     a0 = view[:, 0, :].copy()
     a1 = view[:, 1, :]
@@ -220,46 +220,42 @@ def _apply_h(amps: np.ndarray, n: int, q: int) -> None:
     view[:, 1, :] = (a0 - a1) * _INV_SQRT2
 
 
-def _apply_x(amps: np.ndarray, n: int, q: int) -> None:
+def _apply_x(amps: np.ndarray, q: int) -> None:
     view = amps.reshape(-1, 2, 1 << q)
     tmp = view[:, 0, :].copy()
     view[:, 0, :] = view[:, 1, :]
     view[:, 1, :] = tmp
 
 
-def _apply_y(amps: np.ndarray, n: int, q: int) -> None:
+def _apply_y(amps: np.ndarray, q: int) -> None:
     view = amps.reshape(-1, 2, 1 << q)
     a0 = view[:, 0, :].copy()
     view[:, 0, :] = view[:, 1, :] * -1j
     view[:, 1, :] = a0 * 1j
 
 
-def _apply_z(amps: np.ndarray, n: int, q: int) -> None:
+def _apply_z(amps: np.ndarray, q: int) -> None:
     view = amps.reshape(-1, 2, 1 << q)
     view[:, 1, :] *= -1.0
 
 
-def _apply_s(amps: np.ndarray, n: int, q: int) -> None:
+def _apply_s(amps: np.ndarray, q: int) -> None:
     view = amps.reshape(-1, 2, 1 << q)
     view[:, 1, :] *= 1j
 
 
-def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> None:
-    # Swap the target-bit slices within the control=1 subspace.
-    psi = amps.reshape((2,) * n)
-    c_axis = n - 1 - control
-    t_axis = n - 1 - target
-    sel = [slice(None)] * n
-    sel[c_axis] = 1
-    sub = psi[tuple(sel)]
-    sub_t_axis = t_axis - 1 if c_axis < t_axis else t_axis
-    sl0 = [slice(None)] * (n - 1)
-    sl1 = [slice(None)] * (n - 1)
-    sl0[sub_t_axis] = 0
-    sl1[sub_t_axis] = 1
-    tmp = sub[tuple(sl0)].copy()
-    sub[tuple(sl0)] = sub[tuple(sl1)]
-    sub[tuple(sl1)] = tmp
+def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
+    # Swap the target-bit slices within the control=1 subspace; axes 1
+    # and 3 hold the higher and the lower operand's bit.
+    hi, lo = max(control, target), min(control, target)
+    view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    if control > target:
+        t0, t1 = np.s_[:, 1, :, 0], np.s_[:, 1, :, 1]
+    else:
+        t0, t1 = np.s_[:, 0, :, 1], np.s_[:, 1, :, 1]
+    tmp = view[t0].copy()
+    view[t0] = view[t1]
+    view[t1] = tmp
 
 
 _KERNELS = {
@@ -272,9 +268,9 @@ _KERNELS = {
 }
 
 
-def _apply_gate_inplace(amps: np.ndarray, n: int, gate: Gate) -> None:
+def _apply_gate_inplace(amps: np.ndarray, gate: Gate) -> None:
     """In-place kernel shared by apply_gate and the shot runner."""
-    _KERNELS[gate.name](amps, n, *gate.qubits)
+    _KERNELS[gate.name](amps, *gate.qubits)
 
 
 def states_equal_up_to_global_phase(

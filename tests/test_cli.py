@@ -61,6 +61,18 @@ def test_non_utf8_file_names_its_path(tmp_path, capsys, command, options):
     assert "0xff" in err
 
 
+def test_byte_order_mark_is_skipped(tmp_path, capsys, bell_file):
+    path = tmp_path / "bom.qac"
+    path.write_bytes(b"\xef\xbb\xbf" + BELL_SOURCE.encode())
+    for command, options in [("check", []), ("run", ["--shots", "10", "--seed", "1"])]:
+        assert main([command, str(path), *options]) == 0
+    capsys.readouterr()
+    assert main(["lower", bell_file]) == 0
+    plain = capsys.readouterr().out
+    assert main(["lower", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 class TestLower:
     def test_output_reparses_to_lowered_circuit(self, bell_file, capsys):
         assert main(["lower", bell_file]) == 0
@@ -89,6 +101,15 @@ class TestRun:
         doc = json.loads(first)
         assert doc["total_shots"] == 300
         assert doc["filter"]["raw_error_rate"] == 0.0
+
+    def test_repeated_expect_listed_once(self, bell_file, capsys):
+        argv = ["run", bell_file, "--shots", "50", "--seed", "2",
+                "--format", "json", "--filtered", "--expect", "11"]
+        assert main(argv) == 0
+        single = capsys.readouterr().out
+        assert main([*argv, "--expect", "11"]) == 0
+        assert capsys.readouterr().out == single
+        assert json.loads(single)["expected"] == ["11"]
 
     def test_noise_flags(self, bell_file, capsys):
         assert main([

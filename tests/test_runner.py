@@ -227,8 +227,9 @@ class TestRunSingle:
 
 
 class TestLiveness:
-    """The executor allocates qubits at first use and drops them after their
-    final measurement; results must not change."""
+    """The executor allocates qubits at first use, drops them at every
+    measurement and brings a reused one back at its measured bit; results
+    must not change."""
 
     @pytest.mark.parametrize(
         "case", GOLDEN, ids=lambda c: f"{c['name']}-{c['model']}"
@@ -267,6 +268,14 @@ class TestLiveness:
             key = "".join(str(record.creg_values[c]) for c in circuit.creg_names)
             assert stats.counts == {key: 1}, i
 
+    @pytest.mark.parametrize("readout_p", [0.0, 1.0])
+    def test_reused_qubit_returns_at_measured_bit(self, readout_p):
+        # Qubit 0 re-enters for the cnot at the bit it was measured at, not
+        # at the bit readout noise recorded, so b copies a in every shot.
+        circuit = parse("qubits 2\nh 0\nmeasure 0 -> a\ncnot 0 1\nmeasure 1 -> b\n")
+        stats = run_shots(circuit, 400, 5, NoiseModel(readout_flip_p=readout_p))
+        assert set(stats.counts) == {"00", "11"}
+
     def test_peak_width_of_sequential_checks(self):
         ghz = ["qubits 14", "h 0"] + [f"cnot {q - 1} {q}" for q in range(1, 14)]
         targets = " ".join(str(q) for q in range(14))
@@ -277,7 +286,10 @@ class TestLiveness:
             pairs += [f"h {a}", f"cnot {a} {a + 1}"]
         pairs += ["assert_entangled 0 1 parity 0", "assert_entangled 4 5 parity 0"]
         pairs += [f"measure {q} -> m{q}" for q in range(18)]
-        for source, declared, peak in ((ghz, 18, 15), (pairs, 20, 19)):
+        # A measured qubit leaves the state until its next use.
+        reuse = ["qubits 2", "h 0", "measure 0 -> a", "h 1", "measure 1 -> b",
+                 "x 0", "measure 0 -> c"]
+        for source, declared, peak in ((ghz, 18, 15), (pairs, 20, 19), (reuse, 2, 1)):
             circuit = lowered("\n".join(source) + "\n")
             assert circuit.num_qubits == declared
             assert runner._ShotProgram(circuit, None).peak_width == peak
@@ -324,9 +336,9 @@ class TestOutcomeTree:
         # first data measurement, and no gate follows it.
         applied = []
 
-        def counting(amps, width, gate):
+        def counting(amps, gate):
             applied.append(gate)
-            apply(amps, width, gate)
+            apply(amps, gate)
 
         apply = runner._apply_gate_inplace
         monkeypatch.setattr(runner, "_apply_gate_inplace", counting)
@@ -344,7 +356,7 @@ class TestExactDistribution:
         assert dist == pytest.approx({"000": 0.5, "011": 0.5}, abs=1e-12)
 
     def test_matches_brute_force_oracle(self, corpus_files):
-        # The fixture's random circuits take the walk's drop, project and
+        # The fixture's random circuits take the walk's drop, re-entry and
         # copy paths: each has an idle qubit, a measured-then-reused qubit
         # and all three assertion kinds.
         sources = {path.read_text(): path.name for path in corpus_files}
@@ -396,8 +408,8 @@ class TestExactDistribution:
         apply = runner._apply_gate_inplace
         drifted = []
 
-        def drifting(amps, width, gate):
-            apply(amps, width, gate)
+        def drifting(amps, gate):
+            apply(amps, gate)
             if not drifted:
                 amps *= 1.0 + 1e-6
                 drifted.append(gate)
