@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 from .lang import (
-    ASSERT_CREG_PREFIX,
     ParseError,
+    _split_cregs,
     lower_assertions,
     parse,
     pretty_print,
@@ -125,9 +125,8 @@ def _cmd_run(args) -> int:
     lowered = lower_assertions(circuit)
     model = _noise_model(args)
 
-    data_cregs = tuple(
-        c for c in lowered.creg_names if not c.startswith(ASSERT_CREG_PREFIX)
-    )
+    data_pos, _ = _split_cregs(lowered.creg_names)
+    data_cregs = tuple(lowered.creg_names[i] for i in data_pos)
     for bits in args.expect:
         if len(bits) != len(data_cregs) or any(ch not in "01" for ch in bits):
             print(

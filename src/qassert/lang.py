@@ -32,6 +32,21 @@ from .state import MAX_QUBITS, Gate, x
 
 ASSERT_CREG_PREFIX = "__assert_"
 
+
+def _split_cregs(
+    creg_names: tuple[str, ...],
+) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...]]:
+    """The data-creg positions and the (position, label) of each assertion
+    creg ``__assert_<label>``, both in creg order."""
+    data, assertions = [], []
+    for i, name in enumerate(creg_names):
+        if name.startswith(ASSERT_CREG_PREFIX):
+            assertions.append((i, name[len(ASSERT_CREG_PREFIX):]))
+        else:
+            data.append(i)
+    return tuple(data), tuple(assertions)
+
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"\S+")
 # Plain ASCII decimal without leading zeros, so a token prints back as written.
@@ -99,15 +114,12 @@ class Circuit:
 
     @property
     def assertion_labels(self) -> tuple[str, ...]:
-        labels = []
-        for instr in self.instructions:
-            if isinstance(instr, AssertInstr):
-                labels.append(instr.label)
-            elif isinstance(instr, MeasureInstr) and instr.creg.startswith(
-                ASSERT_CREG_PREFIX
-            ):
-                labels.append(instr.creg[len(ASSERT_CREG_PREFIX):])
-        return tuple(labels)
+        # The cregs the circuit has once lowered, in order of appearance.
+        cregs = tuple(
+            ASSERT_CREG_PREFIX + i.label if isinstance(i, AssertInstr) else i.creg
+            for i in self.instructions if not isinstance(i, GateInstr)
+        )
+        return tuple(label for _, label in _split_cregs(cregs)[1])
 
     def has_assertions(self) -> bool:
         return any(isinstance(i, AssertInstr) for i in self.instructions)
@@ -380,7 +392,6 @@ def lower_assertions(circuit: Circuit) -> Circuit:
             f"ancilla(s) come to {circuit.num_qubits + ancillas}, over "
             f"MAX_QUBITS ({MAX_QUBITS})"
         )
-    used_cregs = set(circuit.creg_names)
     instructions: list[Instruction] = []
     next_ancilla = circuit.num_qubits
     for instr in circuit.instructions:
@@ -391,11 +402,6 @@ def lower_assertions(circuit: Circuit) -> Circuit:
         ancilla = next_ancilla
         next_ancilla += 1
         creg = ASSERT_CREG_PREFIX + instr.label
-        if creg in used_cregs:
-            raise ValueError(
-                f"cannot lower assertion {instr.label!r}: creg {creg!r} already declared"
-            )
-        used_cregs.add(creg)
         if gadget.ancilla_init:
             instructions.append(GateInstr(x(ancilla), instr.span))
         instructions.extend(GateInstr(g, instr.span) for g in gadget.bind(ancilla))

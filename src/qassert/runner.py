@@ -37,12 +37,12 @@ that carries probability, weighted by it, instead of drawing one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .lang import ASSERT_CREG_PREFIX, Circuit, GateInstr
+from .lang import Circuit, GateInstr, _split_cregs
 from .measurement import (
     BRANCH_PROBABILITY_FLOOR,
     RngStream,
@@ -74,35 +74,38 @@ class ShotRecord:
 
 @dataclass(frozen=True)
 class RunStatistics:
-    """Aggregated shot outcomes.
+    """The count table of a run, in three fields: total_shots, creg_names
+    and counts, keyed by the creg bitstring in creg order (assertion cregs too).
 
-    counts is keyed by the creg bitstring in declaration order (all
-    cregs, assertion cregs included).
+    The creg ``__assert_<label>`` holds assertion <label> (1 = fail), so
+    assertion_labels and assertion_fail_counts are read off those cregs,
+    in creg order.
     """
 
     total_shots: int
     creg_names: tuple[str, ...]
-    assertion_labels: tuple[str, ...]
     counts: dict[str, int]
-    assertion_fail_counts: dict[str, int]
+
+    @property
+    def assertion_labels(self) -> tuple[str, ...]:
+        return tuple(label for _, label in _split_cregs(self.creg_names)[1])
+
+    @property
+    def assertion_fail_counts(self) -> dict[str, int]:
+        return {
+            label: sum(n for key, n in self.counts.items() if key[i] == "1")
+            for i, label in _split_cregs(self.creg_names)[1]
+        }
 
     @property
     def data_creg_names(self) -> tuple[str, ...]:
-        return tuple(
-            c for c in self.creg_names if not c.startswith(ASSERT_CREG_PREFIX)
-        )
+        return tuple(self.creg_names[i] for i in self.data_positions())
 
     def data_positions(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, c in enumerate(self.creg_names)
-            if not c.startswith(ASSERT_CREG_PREFIX)
-        )
+        return _split_cregs(self.creg_names)[0]
 
     def assertion_positions(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, c in enumerate(self.creg_names)
-            if c.startswith(ASSERT_CREG_PREFIX)
-        )
+        return tuple(i for i, _ in _split_cregs(self.creg_names)[1])
 
 
 @dataclass(frozen=True)
@@ -352,17 +355,7 @@ def run_shots(
             for _, bits in group:
                 key = "".join("01"[b] for b in bits)
                 counts[key] = counts.get(key, 0) + 1
-    fail_counts = {}
-    for label in circuit.assertion_labels:
-        slot = creg_names.index(ASSERT_CREG_PREFIX + label)
-        fail_counts[label] = sum(n for key, n in counts.items() if key[slot] == "1")
-    return RunStatistics(
-        total_shots=shots,
-        creg_names=creg_names,
-        assertion_labels=circuit.assertion_labels,
-        counts=counts,
-        assertion_fail_counts=fail_counts,
-    )
+    return RunStatistics(shots, creg_names, counts)
 
 
 def run_single(
@@ -385,31 +378,19 @@ def run_single(
     shot = (RngStream.for_shot(master_seed, shot_index), bits)
     ((final, projected, _),) = program.walk([shot], program.split_shots)
     creg_values = dict(zip(creg_names, bits))
-    outcomes = {
-        label: "fail" if creg_values[ASSERT_CREG_PREFIX + label] else "pass"
-        for label in circuit.assertion_labels
-    }
+    _, assertions = _split_cregs(creg_names)
+    outcomes = {label: "fail" if bits[i] else "pass" for i, label in assertions}
     return ShotRecord(creg_values, outcomes), program.full_state(final, projected)
 
 
 def merge_statistics(a: RunStatistics, b: RunStatistics) -> RunStatistics:
     """Combine two runs of the same circuit; aggregation is commutative."""
-    if a.creg_names != b.creg_names or a.assertion_labels != b.assertion_labels:
+    if a.creg_names != b.creg_names:
         raise ValueError("cannot merge statistics from different circuits")
     counts = dict(a.counts)
     for key, cnt in b.counts.items():
         counts[key] = counts.get(key, 0) + cnt
-    fails = {
-        label: a.assertion_fail_counts[label] + b.assertion_fail_counts[label]
-        for label in a.assertion_labels
-    }
-    return RunStatistics(
-        total_shots=a.total_shots + b.total_shots,
-        creg_names=a.creg_names,
-        assertion_labels=a.assertion_labels,
-        counts=counts,
-        assertion_fail_counts=fails,
-    )
+    return RunStatistics(a.total_shots + b.total_shots, a.creg_names, counts)
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
@@ -445,6 +426,16 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     return {"".join("01"[b] for b in bits): prob for _, bits, prob in leaves}
 
 
+def _rows(stats: RunStatistics) -> Iterator[tuple[str, int, str, list[str]]]:
+    """(bitstring, count, data bits, failed assertion labels) for each
+    distinct bitstring; the data bits are the data cregs', in order."""
+    data_pos, assertions = _split_cregs(stats.creg_names)
+    for bitstring, count in stats.counts.items():
+        data = "".join(bitstring[i] for i in data_pos)
+        failed = [label for i, label in assertions if bitstring[i] == "1"]
+        yield bitstring, count, data, failed
+
+
 def compute_filter_report(
     stats: RunStatistics, expected: Callable[[str], bool]
 ) -> FilterReport:
@@ -456,15 +447,12 @@ def compute_filter_report(
     total = stats.total_shots
     if total <= 0:
         raise ValueError("cannot report on empty statistics")
-    data_pos = stats.data_positions()
-    assert_pos = stats.assertion_positions()
     errors = passing = passing_errors = 0
-    for bitstring, count in stats.counts.items():
-        ok = expected("".join(bitstring[i] for i in data_pos))
-        passes = all(bitstring[i] == "0" for i in assert_pos)
+    for _, count, data, failed in _rows(stats):
+        ok = expected(data)
         if not ok:
             errors += count
-        if passes:
+        if not failed:
             passing += count
             if not ok:
                 passing_errors += count
@@ -489,34 +477,28 @@ def _pct(value: float) -> str:
 
 
 def _row_meaning(
-    bitstring: str,
-    stats: RunStatistics,
+    data: str,
+    failed: list[str],
+    asserted: bool,
     expected: set[str] | None,
 ) -> str:
-    assert_pos = stats.assertion_positions()
+    """A row's meaning; `asserted` says whether the run has assertions."""
     parts = []
-    if assert_pos:
-        failed = [
-            stats.creg_names[i][len(ASSERT_CREG_PREFIX):]
-            for i in assert_pos
-            if bitstring[i] == "1"
-        ]
+    if asserted:
         parts.append(
             "assertion error (" + ", ".join(failed) + ")" if failed
             else "no assertion error"
         )
     tag = ""
     if expected is not None:
-        data = "".join(bitstring[i] for i in stats.data_positions())
         ok = data in expected
         parts.append("expected data" if ok else "unexpected data")
-        if assert_pos:
-            failed_any = any(bitstring[i] == "1" for i in assert_pos)
-            if failed_any and ok:
+        if asserted:
+            if failed and ok:
                 tag = " (potential false positive)"
-            elif not failed_any and not ok:
+            elif not failed and not ok:
                 tag = " (false negative)"
-    return ", ".join(parts) + tag if parts else ""
+    return ", ".join(parts) + tag
 
 
 def _render_table(
@@ -532,19 +514,18 @@ def _render_table(
     lines.append(f"shots: {stats.total_shots}")
     if expected is not None:
         expected = set(expected)
+    fail_counts = stats.assertion_fail_counts
     if stats.creg_names:
         lines.append("cregs: " + " ".join(stats.creg_names))
         width = max(len("outcome"), len(stats.creg_names))
         lines.append(f"{'outcome':<{width}}  {'count':>10}  {'%':>8}  meaning")
-        for bitstring in sorted(stats.counts):
-            count = stats.counts[bitstring]
+        for bitstring, count, data, failed in sorted(_rows(stats)):
             pct = _pct(count / stats.total_shots) if stats.total_shots else "-"
-            meaning = _row_meaning(bitstring, stats, expected)
+            meaning = _row_meaning(data, failed, bool(fail_counts), expected)
             lines.append(f"{bitstring:<{width}}  {count:>10}  {pct:>8}  {meaning}")
-    if stats.assertion_labels:
+    if fail_counts:
         lines.append("assertion failures:")
-        for label in stats.assertion_labels:
-            count = stats.assertion_fail_counts[label]
+        for label, count in fail_counts.items():
             rate = _pct(count / stats.total_shots) if stats.total_shots else "-"
             lines.append(f"  {label}: {count} ({rate})")
     if report is not None:
@@ -574,18 +555,11 @@ def _render_json(
         "assertion_labels": list(stats.assertion_labels),
         "counts": dict(sorted(stats.counts.items())),
         "rates": {k: v / total for k, v in sorted(stats.counts.items())} if total else {},
-        "assertion_fail_counts": dict(stats.assertion_fail_counts),
+        "assertion_fail_counts": stats.assertion_fail_counts,
         "expected": sorted(set(expected)) if expected is not None else None,
-        "filter": None,
+        "filter": asdict(report) if report is not None else None,
         "meta": dict(meta) if meta else {},
     }
-    if report is not None:
-        doc["filter"] = {
-            "raw_error_rate": report.raw_error_rate,
-            "filtered_error_rate": report.filtered_error_rate,
-            "relative_reduction": report.relative_reduction,
-            "kept_fraction": report.kept_fraction,
-        }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

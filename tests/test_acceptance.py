@@ -214,10 +214,10 @@ def test_criterion_5_published_table_arithmetic():
     classical = RunStatistics(
         total_shots=1000,
         creg_names=("q1", "__assert_q2"),
-        assertion_labels=("q2",),
         counts={"00": 938, "01": 27, "10": 24, "11": 11},
-        assertion_fail_counts={"q2": 38},
     )
+    assert classical.assertion_labels == ("q2",)
+    assert classical.assertion_fail_counts == {"q2": 38}
     report = compute_filter_report(classical, lambda d: d == "0")
     assert abs(report.raw_error_rate - 0.035) <= 0.005
     assert abs(report.filtered_error_rate - 0.025) <= 0.005
@@ -226,13 +226,13 @@ def test_criterion_5_published_table_arithmetic():
     entangled = RunStatistics(
         total_shots=1000,
         creg_names=("__assert_q0", "q1", "q2"),
-        assertion_labels=("q0",),
         counts={
             "000": 391, "001": 63, "010": 44, "011": 346,
             "100": 40, "101": 56, "110": 21, "111": 39,
         },
-        assertion_fail_counts={"q0": 156},
     )
+    assert entangled.assertion_labels == ("q0",)
+    assert entangled.assertion_fail_counts == {"q0": 156}
     report = compute_filter_report(entangled, lambda d: d in ("00", "11"))
     assert abs(report.raw_error_rate - 0.184) <= 0.005
     assert abs(report.filtered_error_rate - 0.126) <= 0.005

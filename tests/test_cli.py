@@ -6,6 +6,7 @@ import pytest
 
 from qassert import parse
 from qassert.cli import main
+from make_report_golden import FIXTURE as REPORT_FIXTURE, ROOT, digest, run_cli
 
 BELL_SOURCE = """\
 qubits 2
@@ -146,6 +147,18 @@ class TestRun:
         assert main(["run", bell_file, "--shots", "10", "--seed", "0",
                      "--depolarizing"]) == 1
         assert "--depolarizing requires --noise-gate-p" in capsys.readouterr().err
+
+    def test_report_golden(self, monkeypatch):
+        # Recorded while RunStatistics still stored its fail counts; every
+        # report must still come out byte for byte as it did then.
+        monkeypatch.chdir(ROOT)
+        cases = json.loads(REPORT_FIXTURE.read_text(encoding="utf-8"))
+        assert len(cases) == 240
+        for case in cases:
+            code, out = run_cli(case["argv"])
+            assert (code, digest(out)) == (case["exit"], case["sha256"]), (
+                f"qassert {' '.join(case['argv'])} printed:\n{out}"
+            )
 
     def test_ancillas_past_max_qubits(self, tmp_path, capsys):
         path = tmp_path / "wide.qac"

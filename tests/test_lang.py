@@ -283,12 +283,19 @@ class TestLowering:
         assert survivors == original
 
     def test_creg_collision_rejected_at_parse(self):
-        # A user creg with the reserved prefix claims the label namespace.
+        # A user creg with the reserved prefix claims the label namespace,
+        # whichever of the two comes first.
         with pytest.raises(ParseError, match="duplicate assertion label"):
             parse(
                 "qubits 1\nmeasure 0 -> __assert_c\n"
                 "assert_classical 0 == 0 label c\n"
             )
+        with pytest.raises(ParseError, match="duplicate assertion label") as err:
+            parse(
+                "qubits 2\nassert_classical 0 == 1 label a\n"
+                "measure 1 -> __assert_a\n"
+            )
+        assert (err.value.line, err.value.column) == (3, 24)
 
     def test_creg_collision_rejected_for_built_circuits(self):
         spec = AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (0,), 0)

@@ -1,5 +1,6 @@
 """Tests for shot execution, statistics, filtering, and report rendering."""
 
+import dataclasses
 import json
 
 import pytest
@@ -421,27 +422,47 @@ class TestExactDistribution:
 
 def table1_stats() -> RunStatistics:
     """Published two-bit counts: data bit then assertion bit."""
-    return RunStatistics(
+    stats = RunStatistics(
         total_shots=1000,
         creg_names=("q1", "__assert_q2"),
-        assertion_labels=("q2",),
         counts={"00": 938, "01": 27, "10": 24, "11": 11},
-        assertion_fail_counts={"q2": 38},
     )
+    assert stats.assertion_labels == ("q2",)
+    assert stats.assertion_fail_counts == {"q2": 38}
+    return stats
 
 
 def table2_stats() -> RunStatistics:
     """Published three-bit counts: assertion bit first, then two data bits."""
-    return RunStatistics(
+    stats = RunStatistics(
         total_shots=1000,
         creg_names=("__assert_q0", "q1", "q2"),
-        assertion_labels=("q0",),
         counts={
             "000": 391, "001": 63, "010": 44, "011": 346,
             "100": 40, "101": 56, "110": 21, "111": 39,
         },
-        assertion_fail_counts={"q0": 156},
     )
+    assert stats.assertion_labels == ("q0",)
+    assert stats.assertion_fail_counts == {"q0": 156}
+    return stats
+
+
+class TestRunStatistics:
+    def test_stores_only_the_count_table(self):
+        assert [f.name for f in dataclasses.fields(RunStatistics)] == [
+            "total_shots", "creg_names", "counts",
+        ]
+        stats = table1_stats()
+        with pytest.raises(AttributeError):
+            stats.assertion_fail_counts = {"q2": 0}
+        assert stats.data_creg_names == ("q1",)
+        assert stats.data_positions() == (0,)
+        assert stats.assertion_positions() == (1,)
+
+    def test_no_assertion_cregs(self):
+        stats = RunStatistics(5, ("m",), {"0": 5})
+        assert stats.assertion_labels == ()
+        assert stats.assertion_fail_counts == {}
 
 
 class TestFilterReport:
@@ -462,9 +483,7 @@ class TestFilterReport:
         stats = RunStatistics(
             total_shots=10,
             creg_names=("m", "__assert_a"),
-            assertion_labels=("a",),
             counts={"00": 10},
-            assertion_fail_counts={"a": 0},
         )
         report = compute_filter_report(stats, lambda d: d == "0")
         assert report.raw_error_rate == 0.0
@@ -476,9 +495,7 @@ class TestFilterReport:
         stats = RunStatistics(
             total_shots=5,
             creg_names=("m", "__assert_a"),
-            assertion_labels=("a",),
             counts={"01": 5},
-            assertion_fail_counts={"a": 5},
         )
         report = compute_filter_report(stats, lambda d: d == "0")
         assert report.filtered_error_rate is None
@@ -486,7 +503,7 @@ class TestFilterReport:
         assert report.kept_fraction == 0.0
 
     def test_empty_stats_rejected(self):
-        stats = RunStatistics(0, (), (), {}, {})
+        stats = RunStatistics(0, (), {})
         with pytest.raises(ValueError, match="empty"):
             compute_filter_report(stats, lambda d: True)
 
