@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .measurement import BRANCH_PROBABILITY_FLOOR
-from .state import Gate, StateVector, apply_gate, cnot, h, ket, tensor
+from .state import Gate, StateVector, _check_qubits, apply_gate, cnot, h, ket, tensor
 
 ANCILLA = -1
 """Placeholder operand marking the gadget's ancilla before it has an index."""
@@ -157,14 +157,6 @@ def apply_gadget(state: StateVector, gadget: AssertionGadget) -> StateVector:
     return joint
 
 
-def _check_targets(spec: AssertionSpec, state: StateVector) -> None:
-    for t in spec.targets:
-        if not 0 <= t < state.num_qubits:
-            raise ValueError(
-                f"assertion target {t} out of range for {state.num_qubits}-qubit state"
-            )
-
-
 def _error_mask(spec: AssertionSpec, num_qubits: int) -> np.ndarray:
     """Boolean mask over basis indices whose components trip the assertion."""
     idx = np.arange(1 << num_qubits)
@@ -188,7 +180,7 @@ def predicted_error_probability(spec: AssertionSpec, state: StateVector) -> floa
     |a - b|^2 / (|a + b|^2 + |a - b|^2), which is half the weight of the
     difference between the target's 0- and 1-branches.
     """
-    _check_targets(spec, state)
+    _check_qubits(state, spec.targets, "assertion target")
     amps = state.amps
     if spec.kind is AssertionKind.UNIFORM_SUPERPOSITION:
         view = amps.reshape(-1, 2, 1 << spec.targets[0])
@@ -205,7 +197,7 @@ def predicted_pass_state(spec: AssertionSpec, state: StateVector) -> StateVector
     Spectator qubits ride along unchanged.  Returns None when the pass
     branch carries probability below BRANCH_PROBABILITY_FLOOR.
     """
-    _check_targets(spec, state)
+    _check_qubits(state, spec.targets, "assertion target")
     if spec.kind is AssertionKind.UNIFORM_SUPERPOSITION:
         q = spec.targets[0]
         new = state.amps.copy()

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .assertions import AssertionKind, AssertionSpec, build_gadget
-from .state import MAX_QUBITS, Gate, x
+from .state import MAX_QUBITS, Gate, _check_num_qubits, x
 
 ASSERT_CREG_PREFIX = "__assert_"
 
@@ -126,11 +126,7 @@ class Circuit:
 
     def validate(self) -> None:
         """Reject out-of-range qubit references and duplicate names."""
-        if not isinstance(self.num_qubits, int) or not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"num_qubits must be an integer in [1, {MAX_QUBITS}], "
-                f"got {self.num_qubits!r}"
-            )
+        _check_num_qubits(self.num_qubits)
         for instr in self.instructions:
             if isinstance(instr, GateInstr):
                 refs = instr.gate.qubits
@@ -140,8 +136,6 @@ class Circuit:
                     raise ValueError(f"invalid creg name {instr.creg!r}")
             else:
                 refs = instr.spec.targets
-                if not _NAME_RE.match(instr.label):
-                    raise ValueError(f"invalid assertion label {instr.label!r}")
             for q in refs:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(
@@ -297,6 +291,10 @@ def parse(source: str) -> Circuit:
                 label = name[len(ASSERT_CREG_PREFIX):]
                 if not label:
                     raise stmt.fail(f"empty assertion label in creg {name!r}")
+                if not _NAME_RE.match(label):
+                    raise stmt.fail(
+                        f"invalid assertion label {label!r}", stmt.tokens[stmt.pos - 1][1]
+                    )
                 if label in labels_seen:
                     raise stmt.fail(f"duplicate assertion label {label!r}")
                 labels_seen.add(label)

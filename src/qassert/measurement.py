@@ -1,4 +1,5 @@
-"""Computational-basis measurement: Born-rule sampling, projection, post-selection.
+"""Measurement: the random stream, the sampling convention and the public
+Born-rule API, built on the qubit-axis primitives in :mod:`qassert.state`.
 
 Measurement projects the state onto the observed branch and renormalizes
 by the branch's true probability mass, so the projected state is exact.
@@ -10,9 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .state import NORM_TOLERANCE, InvariantViolationError, StateVector
+from .state import (
+    InvariantViolationError,
+    StateVector,
+    _branch_probabilities,
+    _check_qubits,
+    _checked_probabilities,
+    _project,
+)
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
 
@@ -67,40 +73,16 @@ class MeasurementRecord:
     probability_of_outcome: float
 
 
-def _check_qubit(state: StateVector, q: int) -> None:
-    if not 0 <= q < state.num_qubits:
-        raise ValueError(f"qubit {q} out of range for {state.num_qubits}-qubit state")
-
-
-def _branch_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
-    view = amps.reshape(-1, 2, 1 << q)
-    b0 = view[:, 0, :]
-    b1 = view[:, 1, :]
-    p0 = float((b0.real**2 + b0.imag**2).sum())
-    p1 = float((b1.real**2 + b1.imag**2).sum())
-    return p0, p1
-
-
 def prob_one(state: StateVector, q: int) -> float:
     """Born-rule probability that measuring qubit q yields 1."""
-    _check_qubit(state, q)
+    _check_qubits(state, (q,))
     return _branch_probabilities(state.amps, q)[1]
 
 
 def prob_zero(state: StateVector, q: int) -> float:
     """Born-rule probability that measuring qubit q yields 0."""
-    _check_qubit(state, q)
+    _check_qubits(state, (q,))
     return _branch_probabilities(state.amps, q)[0]
-
-
-def _checked_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
-    """(P(0), P(1)) of measuring qubit q, after checking the state's norm."""
-    p0, p1 = _branch_probabilities(amps, q)
-    if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
-        raise InvariantViolationError(
-            f"state norm drifted before measurement: sum |amp|^2 = {p0 + p1!r}"
-        )
-    return p0, p1
 
 
 def _draw_outcome(p1: float, rng: RngStream) -> int:
@@ -114,27 +96,11 @@ def _check_branch(branch: float) -> None:
         raise InvariantViolationError("measurement projected onto an empty branch")
 
 
-def _project(amps: np.ndarray, q: int, bit: int, branch: float) -> None:
-    """Project amps in place onto qubit q reading `bit`, and renormalize by
-    that branch's probability `branch`."""
-    amps.reshape(-1, 2, 1 << q)[:, 1 - bit, :] = 0.0
-    amps *= 1.0 / np.sqrt(branch)
-
-
-def _drop_qubit(amps: np.ndarray, q: int, bit: int, branch: float) -> np.ndarray:
-    """New, half-size state: the half of amps where qubit q reads `bit`,
-    renormalized by that half's probability `branch`, with qubit q removed.
-
-    Qubits above q move down one position.
-    """
-    return (amps.reshape(-1, 2, 1 << q)[:, bit, :] * (1.0 / np.sqrt(branch))).reshape(-1)
-
-
 def measure(
     state: StateVector, q: int, rng: RngStream
 ) -> tuple[MeasurementRecord, StateVector]:
     """Measure qubit q, returning the record and the projected state."""
-    _check_qubit(state, q)
+    _check_qubits(state, (q,))
     probs = _checked_probabilities(state.amps, q)
     outcome = _draw_outcome(probs[1], rng)
     branch = probs[outcome]
@@ -155,7 +121,7 @@ def sample_measurements(
     and applies the same sampling rule as :func:`measure`; preparation is
     deterministic, so only the Born draw varies between shots.
     """
-    _check_qubit(state, q)
+    _check_qubits(state, (q,))
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
     p1 = _checked_probabilities(state.amps, q)[1]
@@ -172,7 +138,7 @@ def postselect(state: StateVector, q: int, bit: int) -> StateVector | None:
     Returns None when the branch carries probability below
     BRANCH_PROBABILITY_FLOOR (the branch is impossible).
     """
-    _check_qubit(state, q)
+    _check_qubits(state, (q,))
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     probs = _branch_probabilities(state.amps, q)

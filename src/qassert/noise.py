@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .measurement import RngStream
-from .state import Gate, StateVector, _apply_gate_inplace
+from .state import Gate, StateVector, _apply_gate_inplace, _check_qubits
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,7 @@ def apply_gate_noise(
     state: StateVector, touched: Sequence[int], model: NoiseModel, rng: RngStream
 ) -> StateVector:
     """Independently corrupt each touched qubit with probability gate_flip_p."""
-    for q in touched:
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(
-                f"qubit {q} out of range for {state.num_qubits}-qubit state"
-            )
+    _check_qubits(state, touched)
     amps = state.amps.copy()
     if model.gate_flip_p > 0.0:
         for q in touched:

@@ -43,16 +43,16 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .lang import Circuit, GateInstr, _split_cregs
-from .measurement import (
-    BRANCH_PROBABILITY_FLOOR,
-    RngStream,
-    _check_branch,
+from .measurement import BRANCH_PROBABILITY_FLOOR, RngStream, _check_branch, _draw_outcome
+from .noise import NoiseModel, _draw_pauli, apply_readout_noise
+from .state import (
+    Gate,
+    StateVector,
+    _alloc_qubit,
+    _apply_gate_inplace,
     _checked_probabilities,
-    _draw_outcome,
     _drop_qubit,
 )
-from .noise import NoiseModel, _draw_pauli, apply_readout_noise
-from .state import Gate, StateVector, _apply_gate_inplace
 
 # Most measurement branches exact_distribution visits: each holds a
 # state, so the walk grows with 2**(measurements) on random outcomes.
@@ -120,13 +120,6 @@ class FilterReport:
     filtered_error_rate: float | None
     relative_reduction: float | None
     kept_fraction: float
-
-
-def _alloc_qubit(amps: np.ndarray, bit: int) -> np.ndarray:
-    """Tensor a new top qubit in as |bit>."""
-    out = np.zeros(2 * amps.size, dtype=amps.dtype)
-    out.reshape(2, -1)[bit] = amps
-    return out
 
 
 def _run_gates(amps, gates, projected) -> np.ndarray:

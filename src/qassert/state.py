@@ -1,4 +1,6 @@
-"""Dense statevector core: states, gates, and unitary gate application.
+"""Dense statevector core: states, gates, unitary gate application, and
+every qubit-axis primitive (branch weights, projection, dropping a qubit
+and tensoring one in) with the checks on qubit indices and qubit counts.
 
 Bit convention
 --------------
@@ -72,6 +74,21 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("cnot", (control, target))
 
 
+def _check_num_qubits(n) -> None:
+    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {n!r}")
+
+
+def _check_qubits(state: StateVector, qubits, what: str = "qubit") -> None:
+    """Reject any of `qubits` that is not an integer index into `state`."""
+    n = state.num_qubits
+    for q in qubits:
+        if not isinstance(q, (int, np.integer)):
+            raise ValueError(f"{what} index must be an integer, got {q!r}")
+        if not 0 <= q < n:
+            raise ValueError(f"{what} {q} out of range for {n}-qubit state")
+
+
 class StateVector:
     """Immutable n-qubit pure state holding ``2**num_qubits`` amplitudes.
 
@@ -82,10 +99,7 @@ class StateVector:
     __slots__ = ("num_qubits", "amps")
 
     def __init__(self, num_qubits: int, amps, *, copy: bool = True):
-        if not isinstance(num_qubits, int) or not 1 <= num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {num_qubits!r}"
-            )
+        _check_num_qubits(num_qubits)
         arr = (np.array if copy else np.asarray)(amps, dtype=np.complex128)
         if arr.shape != (1 << num_qubits,):
             raise ValueError(
@@ -101,24 +115,13 @@ class StateVector:
         self.num_qubits = num_qubits
         self.amps = arr
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
-    def probabilities(self) -> np.ndarray:
-        """|amplitude|**2 for each basis index."""
-        return self.amps.real**2 + self.amps.imag**2
-
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
 def new_basis_state(num_qubits: int, basis_index: int = 0) -> StateVector:
     """Computational-basis state |basis_index> on num_qubits qubits."""
-    if not isinstance(num_qubits, int) or not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(
-            f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {num_qubits!r}"
-        )
+    _check_num_qubits(num_qubits)
     dim = 1 << num_qubits
     if not isinstance(basis_index, int) or not 0 <= basis_index < dim:
         raise ValueError(
@@ -198,10 +201,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     Raises InvariantViolationError if the result drifts off unit norm by
     more than NORM_TOLERANCE; a gate application must never do that.
     """
+    _check_qubits(state, gate.qubits)
     n = state.num_qubits
-    for q in gate.qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n}-qubit state")
     amps = state.amps.copy()
     _apply_gate_inplace(amps, gate)
     norm_sq = float(np.sum(amps.real**2 + amps.imag**2))
@@ -273,6 +274,48 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate) -> None:
     _KERNELS[gate.name](amps, *gate.qubits)
 
 
+def _branch_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
+    view = amps.reshape(-1, 2, 1 << q)
+    b0 = view[:, 0, :]
+    b1 = view[:, 1, :]
+    p0 = float((b0.real**2 + b0.imag**2).sum())
+    p1 = float((b1.real**2 + b1.imag**2).sum())
+    return p0, p1
+
+
+def _checked_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
+    """(P(0), P(1)) of measuring qubit q, after checking the state's norm."""
+    p0, p1 = _branch_probabilities(amps, q)
+    if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
+        raise InvariantViolationError(
+            f"state norm drifted before measurement: sum |amp|^2 = {p0 + p1!r}"
+        )
+    return p0, p1
+
+
+def _project(amps: np.ndarray, q: int, bit: int, branch: float) -> None:
+    """Project amps in place onto qubit q reading `bit`, and renormalize by
+    that branch's probability `branch`."""
+    amps.reshape(-1, 2, 1 << q)[:, 1 - bit, :] = 0.0
+    amps *= 1.0 / np.sqrt(branch)
+
+
+def _drop_qubit(amps: np.ndarray, q: int, bit: int, branch: float) -> np.ndarray:
+    """New, half-size state: the half of amps where qubit q reads `bit`,
+    renormalized by that half's probability `branch`, with qubit q removed.
+
+    Qubits above q move down one position.
+    """
+    return (amps.reshape(-1, 2, 1 << q)[:, bit, :] * (1.0 / np.sqrt(branch))).reshape(-1)
+
+
+def _alloc_qubit(amps: np.ndarray, bit: int) -> np.ndarray:
+    """Tensor a new top qubit in as |bit>."""
+    out = np.zeros(2 * amps.size, dtype=amps.dtype)
+    out.reshape(2, -1)[bit] = amps
+    return out
+
+
 def states_equal_up_to_global_phase(
     s1: StateVector, s2: StateVector, tol: float = 1e-12
 ) -> bool:
@@ -306,22 +349,18 @@ def factor_out_qubit(
     more than `tol` probability mass lies in the other branch, i.e. the
     qubit is still in superposition or entangled.
     """
-    n = state.num_qubits
-    if not 0 <= q < n:
-        raise ValueError(f"qubit {q} out of range for {n}-qubit state")
-    if n == 1:
+    _check_qubits(state, (q,))
+    if state.num_qubits == 1:
         raise ValueError("cannot factor the only qubit out of a 1-qubit state")
-    view = state.amps.reshape(-1, 2, 1 << q)
-    w0 = float(np.sum(view[:, 0, :].real ** 2 + view[:, 0, :].imag ** 2))
-    w1 = float(np.sum(view[:, 1, :].real ** 2 + view[:, 1, :].imag ** 2))
-    bit = 1 if w1 > w0 else 0
-    if min(w0, w1) > tol:
+    weights = _branch_probabilities(state.amps, q)
+    bit = 1 if weights[1] > weights[0] else 0
+    if min(weights) > tol:
         raise ValueError(
             f"qubit {q} is not in a definite classical state "
-            f"(branch weights {w0!r}, {w1!r})"
+            f"(branch weights {weights[0]!r}, {weights[1]!r})"
         )
-    sub = view[:, bit, :].reshape(-1) / np.sqrt(w1 if bit else w0)
-    return bit, StateVector(n - 1, sub, copy=False)
+    rest = _drop_qubit(state.amps, q, bit, weights[bit])
+    return bit, StateVector(state.num_qubits - 1, rest, copy=False)
 
 
 def format_state(state: StateVector, precision: int = 4, cutoff: float = 1e-9) -> str:

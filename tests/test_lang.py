@@ -142,6 +142,12 @@ class TestParseErrors:
             column=23,
         )
 
+    def test_invalid_label_in_reserved_creg(self):
+        self.assert_error(
+            "qubits 1\nh 0\nmeasure 0 -> __assert_1x\n", 3,
+            "invalid assertion label '1x'", column=14,
+        )
+
     def test_trailing_tokens(self):
         self.assert_error("qubits 1\nh 0 1\n", 2, "trailing")
 

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from qassert import (
+    AssertionKind,
+    AssertionSpec,
+    Circuit,
     Gate,
     InvariantViolationError,
+    NoiseModel,
+    RngStream,
     StateVector,
     apply_gate,
+    apply_gate_noise,
     basis_index,
     cnot,
     factor_out_qubit,
@@ -16,8 +22,15 @@ from qassert import (
     from_amplitudes,
     h,
     ket,
+    measure,
     new_basis_state,
+    postselect,
+    predicted_error_probability,
+    predicted_pass_state,
+    prob_one,
+    prob_zero,
     s,
+    sample_measurements,
     states_equal_up_to_global_phase,
     tensor,
     x,
@@ -280,6 +293,71 @@ class TestFactorOut:
     def test_rejects_last_qubit(self):
         with pytest.raises(ValueError, match="only qubit"):
             factor_out_qubit(ket("0"), 0)
+
+
+def _classical(q):
+    return AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (q,), 0)
+
+
+# Every public entry point that takes a qubit index, as (name of the
+# indexed thing, call on a state and an index).
+INDEX_ENTRY_POINTS = {
+    "apply_gate": ("qubit", lambda st, q: apply_gate(st, Gate("h", (q,)))),
+    "apply_gate_noise": (
+        "qubit",
+        lambda st, q: apply_gate_noise(st, [q], NoiseModel(gate_flip_p=0.5), RngStream(1)),
+    ),
+    "prob_one": ("qubit", prob_one),
+    "prob_zero": ("qubit", prob_zero),
+    "measure": ("qubit", lambda st, q: measure(st, q, RngStream(1))),
+    "postselect": ("qubit", lambda st, q: postselect(st, q, 0)),
+    "sample_measurements": ("qubit", lambda st, q: sample_measurements(st, q, 4, 1)),
+    "factor_out_qubit": ("qubit", factor_out_qubit),
+    "predicted_error_probability": (
+        "assertion target",
+        lambda st, q: predicted_error_probability(_classical(q), st),
+    ),
+    "predicted_pass_state": (
+        "assertion target",
+        lambda st, q: predicted_pass_state(_classical(q), st),
+    ),
+}
+
+
+class TestIndexChecks:
+    """One check guards every qubit index and every qubit count."""
+
+    @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+    @pytest.mark.parametrize("q", [-1, 2])
+    def test_out_of_range_index(self, entry, q):
+        what, call = INDEX_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError) as info:
+            call(ket("0+"), q)
+        assert str(info.value) == f"{what} {q} out of range for 2-qubit state"
+
+    @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+    def test_non_integer_index(self, entry):
+        what, call = INDEX_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError) as info:
+            call(ket("0+"), 1.0)
+        assert str(info.value) == f"{what} index must be an integer, got 1.0"
+
+    @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+    @pytest.mark.parametrize("q", [0, np.int64(0)])
+    def test_integer_index_accepted(self, entry, q):
+        INDEX_ENTRY_POINTS[entry][1](ket("0+"), q)
+
+    @pytest.mark.parametrize("n", [0, 25])
+    def test_qubit_count_same_message(self, n):
+        builders = (
+            lambda: StateVector(n, [1.0]),
+            lambda: new_basis_state(n),
+            lambda: Circuit(n).validate(),
+        )
+        for build in builders:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == f"num_qubits must be an integer in [1, 24], got {n}"
 
 
 def test_format_state():
