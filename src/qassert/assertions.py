@@ -63,19 +63,17 @@ class AssertionSpec:
         object.__setattr__(self, "targets", tuple(self.targets))
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"assertion targets must be distinct: {self.targets}")
-        if self.kind is AssertionKind.ENTANGLED:
-            if len(self.targets) < 2:
-                raise ValueError("entanglement assertion needs at least 2 targets")
-            if self.expected not in (0, 1):
-                raise ValueError("entanglement assertion needs a parity bit of 0 or 1")
-        else:
-            if len(self.targets) != 1:
-                raise ValueError(f"{self.kind.value} assertion takes exactly 1 target")
-            if self.kind is AssertionKind.CLASSICAL_EQUALS:
-                if self.expected not in (0, 1):
-                    raise ValueError("classical assertion needs an expected bit of 0 or 1")
-            elif self.expected is not None:
+        entangled = self.kind is AssertionKind.ENTANGLED
+        if entangled and len(self.targets) < 2:
+            raise ValueError("entanglement assertion needs at least 2 targets")
+        if not entangled and len(self.targets) != 1:
+            raise ValueError(f"{self.kind.value} assertion takes exactly 1 target")
+        if self.kind is AssertionKind.UNIFORM_SUPERPOSITION:
+            if self.expected is not None:
                 raise ValueError("superposition assertion takes no expected value")
+        elif type(self.expected) is not int or self.expected not in (0, 1):
+            bit = "a parity" if entangled else "an expected"
+            raise ValueError(f"{self.kind.value} assertion needs {bit} bit of 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ def predicted_error_probability(spec: AssertionSpec, state: StateVector) -> floa
     |a - b|^2 / (|a + b|^2 + |a - b|^2), which is half the weight of the
     difference between the target's 0- and 1-branches.
     """
-    _check_qubits(state, spec.targets, "assertion target")
+    _check_qubits(state.num_qubits, spec.targets, "assertion target")
     amps = state.amps
     if spec.kind is AssertionKind.UNIFORM_SUPERPOSITION:
         view = amps.reshape(-1, 2, 1 << spec.targets[0])
@@ -197,7 +195,7 @@ def predicted_pass_state(spec: AssertionSpec, state: StateVector) -> StateVector
     Spectator qubits ride along unchanged.  Returns None when the pass
     branch carries probability below BRANCH_PROBABILITY_FLOOR.
     """
-    _check_qubits(state, spec.targets, "assertion target")
+    _check_qubits(state.num_qubits, spec.targets, "assertion target")
     if spec.kind is AssertionKind.UNIFORM_SUPERPOSITION:
         q = spec.targets[0]
         new = state.amps.copy()

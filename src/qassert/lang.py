@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .assertions import AssertionKind, AssertionSpec, build_gadget
-from .state import MAX_QUBITS, Gate, _check_num_qubits, x
+from .state import GATE_ARITY, MAX_QUBITS, Gate, _check_num_qubits, _check_qubits, x
 
 ASSERT_CREG_PREFIX = "__assert_"
 
@@ -51,8 +51,6 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"\S+")
 # Plain ASCII decimal without leading zeros, so a token prints back as written.
 _INT_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
-
-_GATE_WORDS = ("h", "x", "y", "z", "s")
 
 
 class ParseError(Exception):
@@ -94,9 +92,48 @@ class AssertInstr:
 Instruction = Union[GateInstr, MeasureInstr, AssertInstr]
 
 
+class _Rules:
+    """A `num_qubits`-qubit circuit's rules, checked instruction by instruction:
+    integer qubit indices in range, and valid creg names and assertion labels,
+    none claimed twice (a measurement into ``__assert_<label>`` claims its label)."""
+
+    def __init__(self, num_qubits: int):
+        _check_num_qubits(num_qubits)
+        self.num_qubits = num_qubits
+        self.cregs: set[str] = set()  # claimed so far, assertions' as lowered
+
+    def check(self, instr: Instruction) -> None:
+        """Raise ValueError for the first rule `instr` breaks, else claim its creg."""
+        if isinstance(instr, GateInstr):
+            _check_qubits(self.num_qubits, instr.gate.qubits, "qubit", "circuit")
+            return
+        if isinstance(instr, MeasureInstr):
+            _check_qubits(self.num_qubits, (instr.qubit,), "qubit", "circuit")
+            creg = instr.creg
+            if not (isinstance(creg, str) and _NAME_RE.match(creg)):
+                raise ValueError(f"invalid creg name {creg!r}")
+            if not creg.startswith(ASSERT_CREG_PREFIX):
+                if creg in self.cregs:
+                    raise ValueError(f"duplicate creg name {creg!r}")
+                self.cregs.add(creg)
+                return
+            label = creg[len(ASSERT_CREG_PREFIX):]
+            if not label:
+                raise ValueError(f"empty assertion label in creg {creg!r}")
+        else:
+            _check_qubits(self.num_qubits, instr.spec.targets, "qubit", "circuit")
+            label = instr.label
+        if not (isinstance(label, str) and _NAME_RE.match(label)):
+            raise ValueError(f"invalid assertion label {label!r}")
+        if ASSERT_CREG_PREFIX + label in self.cregs:
+            raise ValueError(f"duplicate assertion label {label!r}")
+        self.cregs.add(ASSERT_CREG_PREFIX + label)
+
+
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered instructions over `num_qubits` qubits.
+    """Ordered instructions over `num_qubits` qubits.  Construction checks
+    every rule of `_Rules`, so a Circuit that exists is valid.
 
     creg_names and assertion_labels are derived, in order of appearance;
     a measurement into a ``__assert_*`` creg counts as an assertion
@@ -105,6 +142,12 @@ class Circuit:
 
     num_qubits: int
     instructions: tuple[Instruction, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        rules = _Rules(self.num_qubits)
+        for instr in self.instructions:
+            rules.check(instr)
 
     @property
     def creg_names(self) -> tuple[str, ...]:
@@ -124,50 +167,30 @@ class Circuit:
     def has_assertions(self) -> bool:
         return any(isinstance(i, AssertInstr) for i in self.instructions)
 
-    def validate(self) -> None:
-        """Reject out-of-range qubit references and duplicate names."""
-        _check_num_qubits(self.num_qubits)
-        for instr in self.instructions:
-            if isinstance(instr, GateInstr):
-                refs = instr.gate.qubits
-            elif isinstance(instr, MeasureInstr):
-                refs = (instr.qubit,)
-                if not _NAME_RE.match(instr.creg):
-                    raise ValueError(f"invalid creg name {instr.creg!r}")
-            else:
-                refs = instr.spec.targets
-            for q in refs:
-                if not 0 <= q < self.num_qubits:
-                    raise ValueError(
-                        f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
-                    )
-        cregs = self.creg_names
-        if len(set(cregs)) != len(cregs):
-            raise ValueError(f"duplicate creg name in {cregs}")
-        labels = self.assertion_labels
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate assertion label in {labels}")
-        for label in labels:
-            if not _NAME_RE.match(label):
-                raise ValueError(f"invalid assertion label {label!r}")
-
 
 class _Statement:
-    """Token cursor over one source line, reporting errors with positions."""
+    """Token cursor over one source line, reporting errors with positions.
+    It notes the qubits read and the last operand's column for `blame`."""
 
     def __init__(self, line: int, tokens: list[tuple[str, int]]):
         self.line = line
         self.tokens = tokens
         self.pos = 0
+        self.qubits: list[tuple[int, int]] = []  # (index, column)
+        self.operand_column = tokens[0][1]
 
-    def fail(self, message: str, column: int | None = None) -> ParseError:
-        if column is None:
-            if self.pos < len(self.tokens):
-                column = self.tokens[self.pos][1]
-            else:
-                last = self.tokens[-1]
-                column = last[1] + len(last[0])
+    def fail(self, message: str, column: int) -> ParseError:
         return ParseError(message, self.line, column)
+
+    def blame(self, err: ValueError, num_qubits: int) -> ParseError:
+        """`err` at the first qubit the circuit rejects, else at the last
+        operand read: the creg or label, or the last qubit before one."""
+        for q, column in self.qubits:
+            try:
+                _check_qubits(num_qubits, (q,), "qubit", "circuit")
+            except ValueError as qubit_err:
+                return self.fail(str(qubit_err), column)
+        return self.fail(str(err), self.operand_column)
 
     def peek(self) -> str | None:
         if self.pos < len(self.tokens):
@@ -176,7 +199,8 @@ class _Statement:
 
     def take(self, what: str) -> tuple[str, int]:
         if self.pos >= len(self.tokens):
-            raise self.fail(f"expected {what}")
+            last = self.tokens[-1]
+            raise self.fail(f"expected {what}", last[1] + len(last[0]))
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -195,12 +219,9 @@ class _Statement:
             pass
         raise self.fail(f"expected {what}, got {tok!r}", col)
 
-    def take_qubit(self, num_qubits: int) -> int:
-        value, col = self.take_int("a qubit index")
-        if not 0 <= value < num_qubits:
-            raise self.fail(
-                f"qubit {value} out of range for {num_qubits}-qubit circuit", col
-            )
+    def take_qubit(self) -> int:
+        value, self.operand_column = self.take_int("a qubit index")
+        self.qubits.append((value, self.operand_column))
         return value
 
     def take_bit(self, what: str) -> int:
@@ -210,9 +231,7 @@ class _Statement:
         return int(tok)
 
     def take_name(self, what: str) -> str:
-        tok, col = self.take(what)
-        if not _NAME_RE.match(tok):
-            raise self.fail(f"invalid {what} {tok!r}", col)
+        tok, self.operand_column = self.take(what)
         return tok
 
     def finish(self) -> None:
@@ -229,116 +248,81 @@ def _statements(source: str):
             yield _Statement(lineno, tokens)
 
 
-def _take_optional_label(stmt: _Statement, auto_index: int, seen: set[str]) -> str:
-    if stmt.peek() == "label":
-        stmt.take("'label'")
-        label = stmt.take_name("assertion label")
+def _take_assertion(stmt: _Statement, word: str, span: Span, index: int) -> AssertInstr:
+    """The assertion statement `word`; `index` numbers an automatic label."""
+    if word == "assert_classical":
+        targets = [stmt.take_qubit()]
+        stmt.take_keyword("==")
+        kind, bit = AssertionKind.CLASSICAL_EQUALS, stmt.take_bit("the expected bit")
+    elif word == "assert_entangled":
+        targets = []
+        while stmt.peek() not in (None, "parity"):
+            targets.append(stmt.take_qubit())
+        stmt.take_keyword("parity")
+        kind, bit = AssertionKind.ENTANGLED, stmt.take_bit("the parity bit")
+    elif word == "assert_superposition":
+        targets = [stmt.take_qubit()]
+        kind, bit = AssertionKind.UNIFORM_SUPERPOSITION, None
     else:
-        label = f"a{auto_index}"
-    if label in seen:
-        raise stmt.fail(f"duplicate assertion label {label!r}")
-    seen.add(label)
-    return label
+        raise stmt.fail(f"unknown statement {word!r}", stmt.tokens[0][1])
+    spec = AssertionSpec(kind, tuple(targets), bit)
+    if stmt.peek() != "label":
+        stmt.operand_column = stmt.tokens[0][1]  # an automatic label's token
+        return AssertInstr(spec, f"a{index}", span)
+    stmt.take("'label'")
+    return AssertInstr(spec, stmt.take_name("assertion label"), span)
 
 
 def parse(source: str) -> Circuit:
-    """Parse circuit source text; raises ParseError with line/column."""
-    num_qubits: int | None = None
+    """Parse circuit source text; raises ParseError with line/column.
+
+    Parsing checks the token syntax and the header's place.  Circuit, Gate
+    and AssertionSpec check every other rule; a statement that breaks one
+    fails with the rule's message at the token the rule is about."""
+    rules: _Rules | None = None
     instructions: list[Instruction] = []
-    cregs_seen: set[str] = set()
-    labels_seen: set[str] = set()
     assertion_count = 0
 
     for stmt in _statements(source):
         word, col = stmt.take("a statement")
-        span = Span(stmt.line, col)
 
         if word == "qubits":
-            if num_qubits is not None:
+            if rules is not None:
                 raise stmt.fail("duplicate 'qubits' header", col)
             value, vcol = stmt.take_int("a qubit count")
-            if not 1 <= value <= MAX_QUBITS:
-                raise stmt.fail(
-                    f"qubit count must be in [1, {MAX_QUBITS}], got {value}", vcol
-                )
-            num_qubits = value
+            try:
+                rules = _Rules(value)
+            except ValueError as err:
+                raise stmt.fail(f"invalid qubit count: {err}", vcol) from None
             stmt.finish()
             continue
 
-        if num_qubits is None:
+        if rules is None:
             raise stmt.fail("the first statement must be 'qubits N'", col)
 
-        if word in _GATE_WORDS:
-            q = stmt.take_qubit(num_qubits)
-            instructions.append(GateInstr(Gate(word, (q,)), span))
-        elif word == "cnot":
-            control = stmt.take_qubit(num_qubits)
-            tcol = stmt.tokens[stmt.pos][1] if stmt.pos < len(stmt.tokens) else None
-            target = stmt.take_qubit(num_qubits)
-            if control == target:
-                raise stmt.fail("cnot operands must be distinct", tcol)
-            instructions.append(GateInstr(Gate("cnot", (control, target)), span))
-        elif word == "measure":
-            q = stmt.take_qubit(num_qubits)
-            stmt.take_keyword("->")
-            name = stmt.take_name("creg name")
-            if name in cregs_seen:
-                raise stmt.fail(f"duplicate creg name {name!r}")
-            cregs_seen.add(name)
-            if name.startswith(ASSERT_CREG_PREFIX):
-                # Reserved prefix: the creg doubles as an assertion label
-                # (this is how lowered circuits re-parse).
-                label = name[len(ASSERT_CREG_PREFIX):]
-                if not label:
-                    raise stmt.fail(f"empty assertion label in creg {name!r}")
-                if not _NAME_RE.match(label):
-                    raise stmt.fail(
-                        f"invalid assertion label {label!r}", stmt.tokens[stmt.pos - 1][1]
-                    )
-                if label in labels_seen:
-                    raise stmt.fail(f"duplicate assertion label {label!r}")
-                labels_seen.add(label)
-            instructions.append(MeasureInstr(q, name, span))
-        elif word == "assert_classical":
-            q = stmt.take_qubit(num_qubits)
-            stmt.take_keyword("==")
-            bit = stmt.take_bit("the expected bit")
-            label = _take_optional_label(stmt, assertion_count, labels_seen)
-            assertion_count += 1
-            spec = AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (q,), bit)
-            instructions.append(AssertInstr(spec, label, span))
-        elif word == "assert_entangled":
-            targets = []
-            while stmt.peek() is not None and stmt.peek() not in ("parity",):
-                tcol = stmt.tokens[stmt.pos][1]
-                q = stmt.take_qubit(num_qubits)
-                if q in targets:
-                    raise stmt.fail(f"duplicate assertion target {q}", tcol)
-                targets.append(q)
-            if len(targets) < 2:
-                raise stmt.fail("assert_entangled needs at least 2 targets")
-            stmt.take_keyword("parity")
-            bit = stmt.take_bit("the parity bit")
-            label = _take_optional_label(stmt, assertion_count, labels_seen)
-            assertion_count += 1
-            spec = AssertionSpec(AssertionKind.ENTANGLED, tuple(targets), bit)
-            instructions.append(AssertInstr(spec, label, span))
-        elif word == "assert_superposition":
-            q = stmt.take_qubit(num_qubits)
-            label = _take_optional_label(stmt, assertion_count, labels_seen)
-            assertion_count += 1
-            spec = AssertionSpec(AssertionKind.UNIFORM_SUPERPOSITION, (q,))
-            instructions.append(AssertInstr(spec, label, span))
-        else:
-            raise stmt.fail(f"unknown statement {word!r}", col)
+        span = Span(stmt.line, col)
+        try:
+            if word in GATE_ARITY:
+                qubits = (stmt.take_qubit(),)
+                if GATE_ARITY[word] == 2:
+                    qubits += (stmt.take_qubit(),)
+                instr = GateInstr(Gate(word, qubits), span)
+            elif word == "measure":
+                q = stmt.take_qubit()
+                stmt.take_keyword("->")
+                instr = MeasureInstr(q, stmt.take_name("creg name"), span)
+            else:
+                instr = _take_assertion(stmt, word, span, assertion_count)
+                assertion_count += 1
+            rules.check(instr)
+        except ValueError as err:
+            raise stmt.blame(err, rules.num_qubits) from None
         stmt.finish()
+        instructions.append(instr)
 
-    if num_qubits is None:
+    if rules is None:
         raise ParseError("missing 'qubits N' header", 1, 1)
-
-    circuit = Circuit(num_qubits, tuple(instructions))
-    circuit.validate()
-    return circuit
+    return Circuit(rules.num_qubits, tuple(instructions))
 
 
 def _format_instruction(instr: Instruction) -> str:
@@ -380,7 +364,6 @@ def lower_assertions(circuit: Circuit) -> Circuit:
     Assertions that run one after another cost one extra qubit at peak,
     not one each.
     """
-    circuit.validate()
     if not circuit.has_assertions():
         return circuit
     ancillas = sum(isinstance(i, AssertInstr) for i in circuit.instructions)
@@ -404,6 +387,4 @@ def lower_assertions(circuit: Circuit) -> Circuit:
             instructions.append(GateInstr(x(ancilla), instr.span))
         instructions.extend(GateInstr(g, instr.span) for g in gadget.bind(ancilla))
         instructions.append(MeasureInstr(ancilla, creg, instr.span))
-    lowered = Circuit(next_ancilla, tuple(instructions))
-    lowered.validate()
-    return lowered
+    return Circuit(next_ancilla, tuple(instructions))

@@ -75,13 +75,13 @@ class MeasurementRecord:
 
 def prob_one(state: StateVector, q: int) -> float:
     """Born-rule probability that measuring qubit q yields 1."""
-    _check_qubits(state, (q,))
+    _check_qubits(state.num_qubits, (q,))
     return _branch_probabilities(state.amps, q)[1]
 
 
 def prob_zero(state: StateVector, q: int) -> float:
     """Born-rule probability that measuring qubit q yields 0."""
-    _check_qubits(state, (q,))
+    _check_qubits(state.num_qubits, (q,))
     return _branch_probabilities(state.amps, q)[0]
 
 
@@ -100,7 +100,7 @@ def measure(
     state: StateVector, q: int, rng: RngStream
 ) -> tuple[MeasurementRecord, StateVector]:
     """Measure qubit q, returning the record and the projected state."""
-    _check_qubits(state, (q,))
+    _check_qubits(state.num_qubits, (q,))
     probs = _checked_probabilities(state.amps, q)
     outcome = _draw_outcome(probs[1], rng)
     branch = probs[outcome]
@@ -109,6 +109,11 @@ def measure(
     _project(amps, q, outcome, branch)
     record = MeasurementRecord(qubit=q, outcome=outcome, probability_of_outcome=branch)
     return record, StateVector(state.num_qubits, amps, copy=False)
+
+
+def _check_shots(shots) -> None:
+    if type(shots) is not int or shots < 0:
+        raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
 
 
 def sample_measurements(
@@ -121,9 +126,8 @@ def sample_measurements(
     and applies the same sampling rule as :func:`measure`; preparation is
     deterministic, so only the Born draw varies between shots.
     """
-    _check_qubits(state, (q,))
-    if shots < 0:
-        raise ValueError(f"shots must be non-negative, got {shots}")
+    _check_qubits(state.num_qubits, (q,))
+    _check_shots(shots)
     p1 = _checked_probabilities(state.amps, q)[1]
     ones = sum(
         _draw_outcome(p1, RngStream.for_shot(master_seed, shot_offset + i))
@@ -138,7 +142,7 @@ def postselect(state: StateVector, q: int, bit: int) -> StateVector | None:
     Returns None when the branch carries probability below
     BRANCH_PROBABILITY_FLOOR (the branch is impossible).
     """
-    _check_qubits(state, (q,))
+    _check_qubits(state.num_qubits, (q,))
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     probs = _branch_probabilities(state.amps, q)

@@ -51,7 +51,7 @@ def apply_gate_noise(
     state: StateVector, touched: Sequence[int], model: NoiseModel, rng: RngStream
 ) -> StateVector:
     """Independently corrupt each touched qubit with probability gate_flip_p."""
-    _check_qubits(state, touched)
+    _check_qubits(state.num_qubits, touched)
     amps = state.amps.copy()
     if model.gate_flip_p > 0.0:
         for q in touched:

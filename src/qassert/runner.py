@@ -43,7 +43,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .lang import Circuit, GateInstr, _split_cregs
-from .measurement import BRANCH_PROBABILITY_FLOOR, RngStream, _check_branch, _draw_outcome
+from .measurement import (BRANCH_PROBABILITY_FLOOR, RngStream, _check_branch,
+                          _check_shots, _draw_outcome)
 from .noise import NoiseModel, _draw_pauli, apply_readout_noise
 from .state import (
     Gate,
@@ -208,7 +209,6 @@ class _ShotProgram:
     """
 
     def __init__(self, circuit: Circuit, model: NoiseModel | None):
-        circuit.validate()
         if circuit.has_assertions():
             raise ValueError(
                 "circuit still contains assertion statements; run lower_assertions first"
@@ -333,8 +333,7 @@ def run_shots(
 
     Deterministic given (circuit, shots, master_seed, model, shot_offset).
     """
-    if shots < 0:
-        raise ValueError(f"shots must be non-negative, got {shots}")
+    _check_shots(shots)
     program = _ShotProgram(circuit, model)
     creg_names = program.creg_names
 

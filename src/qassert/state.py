@@ -75,18 +75,17 @@ def cnot(control: int, target: int) -> Gate:
 
 
 def _check_num_qubits(n) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+    if type(n) is not int or not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {n!r}")
 
 
-def _check_qubits(state: StateVector, qubits, what: str = "qubit") -> None:
-    """Reject any of `qubits` that is not an integer index into `state`."""
-    n = state.num_qubits
+def _check_qubits(n: int, qubits, what: str = "qubit", of: str = "state") -> None:
+    """Reject any of `qubits` that is not an integer index into an `n`-qubit `of`."""
     for q in qubits:
-        if not isinstance(q, (int, np.integer)):
+        if type(q) is not int and not isinstance(q, np.integer):
             raise ValueError(f"{what} index must be an integer, got {q!r}")
         if not 0 <= q < n:
-            raise ValueError(f"{what} {q} out of range for {n}-qubit state")
+            raise ValueError(f"{what} {q} out of range for {n}-qubit {of}")
 
 
 class StateVector:
@@ -190,8 +189,7 @@ def tensor(first: StateVector, second: StateVector) -> StateVector:
     qubit ``first.num_qubits + q``.
     """
     n = first.num_qubits + second.num_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(f"tensor product would exceed {MAX_QUBITS} qubits")
+    _check_num_qubits(n)
     return StateVector(n, np.kron(second.amps, first.amps), copy=False)
 
 
@@ -201,8 +199,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     Raises InvariantViolationError if the result drifts off unit norm by
     more than NORM_TOLERANCE; a gate application must never do that.
     """
-    _check_qubits(state, gate.qubits)
     n = state.num_qubits
+    _check_qubits(n, gate.qubits)
     amps = state.amps.copy()
     _apply_gate_inplace(amps, gate)
     norm_sq = float(np.sum(amps.real**2 + amps.imag**2))
@@ -349,7 +347,7 @@ def factor_out_qubit(
     more than `tol` probability mass lies in the other branch, i.e. the
     qubit is still in superposition or entangled.
     """
-    _check_qubits(state, (q,))
+    _check_qubits(state.num_qubits, (q,))
     if state.num_qubits == 1:
         raise ValueError("cannot factor the only qubit out of a 1-qubit state")
     weights = _branch_probabilities(state.amps, q)

@@ -160,6 +160,23 @@ class TestRun:
                 f"qassert {' '.join(case['argv'])} printed:\n{out}"
             )
 
+    def test_readme_filter_numbers(self, monkeypatch, capsys):
+        # The README's Bell example must print the filter lines it quotes.
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        quoted = readme.split("post-selection filter:\n", 1)[1].split("```", 1)[0]
+        assert quoted.splitlines() == [
+            "  raw error rate:      7.504%",
+            "  filtered error rate: 4.072%",
+            "  relative reduction:  45.73%",
+            "  kept fraction:       92.56%",
+        ]
+        monkeypatch.chdir(ROOT)
+        assert main(["run", "tests/corpus/bell_entangled.qac", "--shots", "100000",
+                     "--seed", "7", "--noise-gate-p", "0.02",
+                     "--expect", "00", "--expect", "11", "--filtered"]) == 0
+        out = capsys.readouterr().out
+        assert "post-selection filter:\n" + quoted in out
+
     def test_ancillas_past_max_qubits(self, tmp_path, capsys):
         path = tmp_path / "wide.qac"
         path.write_text("qubits 24\nh 0\nassert_superposition 0 label sp\n")

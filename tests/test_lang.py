@@ -1,6 +1,7 @@
 """Tests for parsing, pretty-printing, and assertion lowering."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,10 +15,13 @@ from qassert import (
     MeasureInstr,
     ParseError,
     cnot,
+    h,
     lower_assertions,
     parse,
     pretty_print,
 )
+from make_liveness_golden import random_circuit
+from test_cross_validation import random_source
 
 BELL_SOURCE = """\
 qubits 2
@@ -139,7 +143,7 @@ class TestParseErrors:
     def test_empty_label_in_reserved_creg(self):
         self.assert_error(
             "qubits 1\nmeasure 0 -> __assert_\n", 2, "empty assertion label",
-            column=23,
+            column=14,
         )
 
     def test_invalid_label_in_reserved_creg(self):
@@ -164,7 +168,8 @@ class TestParseErrors:
 
     def test_entangled_duplicate_target(self):
         self.assert_error(
-            "qubits 2\nassert_entangled 0 0 parity 0\n", 2, "duplicate assertion target"
+            "qubits 2\nassert_entangled 0 0 parity 0\n", 2,
+            "assertion targets must be distinct",
         )
 
     def test_bad_creg_name(self):
@@ -176,7 +181,117 @@ class TestParseErrors:
         assert str(info.value).startswith("2:")
 
 
+CLASSICAL_0 = AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (0,), 0)
+
+# Every circuit rule broken once: the source that breaks it (None where the
+# token syntax cannot express the value), the line and column parse reports,
+# the rule's message, and the same circuit or operand built directly.
+RULE_CASES = {
+    "count-0": ("qubits 0\n", (1, 8),
+                "num_qubits must be an integer in [1, 24], got 0", lambda: Circuit(0)),
+    "count-25": ("qubits 25\n", (1, 8),
+                 "num_qubits must be an integer in [1, 24], got 25", lambda: Circuit(25)),
+    "count-bool": (None, None,
+                   "num_qubits must be an integer in [1, 24], got True",
+                   lambda: Circuit(True)),
+    "gate-range": ("qubits 2\nh 2\n", (2, 3), "qubit 2 out of range for 2-qubit circuit",
+                   lambda: Circuit(2, (GateInstr(h(2)),))),
+    "cnot-range": ("qubits 2\ncnot 0 2\n", (2, 8),
+                   "qubit 2 out of range for 2-qubit circuit",
+                   lambda: Circuit(2, (GateInstr(cnot(0, 2)),))),
+    "gate-float": (None, None, "qubit index must be an integer, got 1.0",
+                   lambda: Circuit(2, (GateInstr(h(1.0)),))),
+    "gate-bool": (None, None, "qubit index must be an integer, got True",
+                  lambda: Circuit(2, (GateInstr(h(True)),))),
+    "measure-range": ("qubits 2\nmeasure 2 -> m\n", (2, 9),
+                      "qubit 2 out of range for 2-qubit circuit",
+                      lambda: Circuit(2, (MeasureInstr(2, "m"),))),
+    "measure-float": (None, None, "qubit index must be an integer, got 1.0",
+                      lambda: Circuit(2, (MeasureInstr(1.0, "m"),))),
+    "target-range": ("qubits 2\nassert_entangled 0 2 parity 0\n", (2, 20),
+                     "qubit 2 out of range for 2-qubit circuit",
+                     lambda: Circuit(2, (AssertInstr(
+                         AssertionSpec(AssertionKind.ENTANGLED, (0, 2), 0), "a0"),))),
+    "cnot-distinct": ("qubits 1\ncnot 0 0\n", (2, 8),
+                      "cnot operands must be distinct: (0, 0)", lambda: cnot(0, 0)),
+    "targets-distinct": ("qubits 2\nassert_entangled 0 0 parity 0\n", (2, 20),
+                         "assertion targets must be distinct: (0, 0)",
+                         lambda: AssertionSpec(AssertionKind.ENTANGLED, (0, 0), 0)),
+    "two-targets": ("qubits 2\nassert_entangled 0 parity 0\n", (2, 18),
+                    "entanglement assertion needs at least 2 targets",
+                    lambda: AssertionSpec(AssertionKind.ENTANGLED, (0,), 0)),
+    "bit-bool": (None, None, "classical assertion needs an expected bit of 0 or 1",
+                 lambda: AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (0,), True)),
+    "creg-syntax": ("qubits 1\nmeasure 0 -> 9lives\n", (2, 14),
+                    "invalid creg name '9lives'",
+                    lambda: Circuit(1, (MeasureInstr(0, "9lives"),))),
+    "creg-not-str": (None, None, "invalid creg name 5",
+                     lambda: Circuit(1, (MeasureInstr(0, 5),))),
+    "creg-twice": ("qubits 1\nmeasure 0 -> m\nmeasure 0 -> m\n", (3, 14),
+                   "duplicate creg name 'm'",
+                   lambda: Circuit(1, (MeasureInstr(0, "m"), MeasureInstr(0, "m")))),
+    "reserved-empty": ("qubits 1\nmeasure 0 -> __assert_\n", (2, 14),
+                       "empty assertion label in creg '__assert_'",
+                       lambda: Circuit(1, (MeasureInstr(0, "__assert_"),))),
+    "reserved-syntax": ("qubits 1\nmeasure 0 -> __assert_1x\n", (2, 14),
+                        "invalid assertion label '1x'",
+                        lambda: Circuit(1, (MeasureInstr(0, "__assert_1x"),))),
+    "label-syntax": ("qubits 1\nassert_classical 0 == 0 label 9x\n", (2, 31),
+                     "invalid assertion label '9x'",
+                     lambda: Circuit(1, (AssertInstr(CLASSICAL_0, "9x"),))),
+    "label-twice": ("qubits 1\nassert_classical 0 == 0 label t\n"
+                    "assert_classical 0 == 0 label t\n", (3, 31),
+                    "duplicate assertion label 't'",
+                    lambda: Circuit(1, (AssertInstr(CLASSICAL_0, "t"),
+                                        AssertInstr(CLASSICAL_0, "t")))),
+    "auto-label-taken": ("qubits 1\nmeasure 0 -> __assert_a0\nassert_classical 0 == 0\n",
+                         (3, 1), "duplicate assertion label 'a0'",
+                         lambda: Circuit(1, (MeasureInstr(0, "__assert_a0"),
+                                             AssertInstr(CLASSICAL_0, "a0")))),
+    "reserved-after-label": ("qubits 1\nassert_classical 0 == 0 label a\n"
+                             "measure 0 -> __assert_a\n", (3, 14),
+                             "duplicate assertion label 'a'",
+                             lambda: Circuit(1, (AssertInstr(CLASSICAL_0, "a"),
+                                                 MeasureInstr(0, "__assert_a")))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_CASES))
+def test_one_owner_per_rule(case):
+    """parse and direct construction reject a broken rule with its one message;
+    parse adds the position, and names the header for a qubit count."""
+    source, position, message, build = RULE_CASES[case]
+    with pytest.raises(ValueError) as built:
+        build()
+    assert str(built.value) == message
+    if source is None:
+        return
+    with pytest.raises(ParseError) as parsed:
+        parse(source)
+    prefix = "invalid qubit count: " if case.startswith("count") else ""
+    assert parsed.value.message == prefix + message
+    assert (parsed.value.line, parsed.value.column) == position
+
+
+def test_out_of_range_qubit_reported_before_operand_rules():
+    # cnot 5 5 breaks both the range rule and Gate's distinct-operand rule;
+    # the statement fails at its first token, as the source reads.
+    with pytest.raises(ParseError) as info:
+        parse("qubits 2\ncnot 5 5\n")
+    assert (info.value.line, info.value.column) == (2, 6)
+    assert info.value.message == "qubit 5 out of range for 2-qubit circuit"
+
+
 class TestRoundTrip:
+    def test_random_circuits_round_trip(self):
+        sources = [random_circuit(seed, 5 + seed % 5) for seed in range(20)]
+        rng = random.Random(2024)
+        sources += [random_source(rng, rng.randint(1, 6), rng.randint(1, 30))
+                    for _ in range(80)]
+        for source in sources:
+            for circuit in (parse(source), lower_assertions(parse(source))):
+                assert parse(pretty_print(circuit)) == circuit, source
+
     def test_bell_round_trip(self):
         circuit = parse(BELL_SOURCE)
         assert parse(pretty_print(circuit)) == circuit
@@ -301,15 +416,12 @@ class TestLowering:
                 "qubits 2\nassert_classical 0 == 1 label a\n"
                 "measure 1 -> __assert_a\n"
             )
-        assert (err.value.line, err.value.column) == (3, 24)
+        assert (err.value.line, err.value.column) == (3, 14)
 
     def test_creg_collision_rejected_for_built_circuits(self):
         spec = AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (0,), 0)
-        circuit = Circuit(
-            1, (MeasureInstr(0, "__assert_c"), AssertInstr(spec, "c"))
-        )
         with pytest.raises(ValueError, match="duplicate assertion label"):
-            lower_assertions(circuit)
+            Circuit(1, (MeasureInstr(0, "__assert_c"), AssertInstr(spec, "c")))
 
     def test_ancillas_past_max_qubits(self):
         circuit = parse("qubits 23\nassert_classical 0 == 0\nassert_classical 1 == 0\n")
@@ -333,15 +445,13 @@ class TestLowering:
 
 class TestCircuitValidate:
     def test_manual_out_of_range(self):
-        circuit = Circuit(1, (GateInstr(Gate("h", (3,))),))
         with pytest.raises(ValueError, match="out of range"):
-            circuit.validate()
+            Circuit(1, (GateInstr(Gate("h", (3,))),))
 
     def test_manual_duplicate_creg(self):
-        circuit = Circuit(1, (MeasureInstr(0, "m"), MeasureInstr(0, "m")))
         with pytest.raises(ValueError, match="duplicate creg"):
-            circuit.validate()
+            Circuit(1, (MeasureInstr(0, "m"), MeasureInstr(0, "m")))
 
     def test_bad_num_qubits(self):
         with pytest.raises(ValueError, match="num_qubits"):
-            Circuit(0).validate()
+            Circuit(0)

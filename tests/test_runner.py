@@ -26,6 +26,7 @@ from qassert import (
     render_report,
     run_shots,
     run_single,
+    sample_measurements,
     states_equal_up_to_global_phase,
 )
 import qassert.runner as runner
@@ -198,6 +199,18 @@ class TestRunShots:
         assert stats.total_shots == 0 and stats.counts == {}
         with pytest.raises(ValueError, match="shots"):
             run_shots(lowered(BELL_SOURCE), -1, 0)
+
+
+@pytest.mark.parametrize("shots", [-1, 2.5, True])
+@pytest.mark.parametrize("entry", ["sample_measurements", "run_shots"])
+def test_one_shots_rule(entry, shots):
+    call = {
+        "sample_measurements": lambda: sample_measurements(ket("+"), 0, shots, 1),
+        "run_shots": lambda: run_shots(parse("qubits 1\nh 0\nmeasure 0 -> m\n"), shots, 0),
+    }[entry]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"shots must be a non-negative integer, got {shots!r}"
 
 
 class TestRunSingle:

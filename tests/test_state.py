@@ -347,12 +347,24 @@ class TestIndexChecks:
     def test_integer_index_accepted(self, entry, q):
         INDEX_ENTRY_POINTS[entry][1](ket("0+"), q)
 
+    @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+    def test_bool_index_rejected(self, entry):
+        what, call = INDEX_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError) as info:
+            call(ket("0+"), True)
+        assert str(info.value) == f"{what} index must be an integer, got True"
+
+    def test_tensor_checks_the_count_first(self):
+        with pytest.raises(ValueError) as info:
+            tensor(ket("0" * 13), ket("0" * 12))
+        assert str(info.value) == "num_qubits must be an integer in [1, 24], got 25"
+
     @pytest.mark.parametrize("n", [0, 25])
     def test_qubit_count_same_message(self, n):
         builders = (
             lambda: StateVector(n, [1.0]),
             lambda: new_basis_state(n),
-            lambda: Circuit(n).validate(),
+            lambda: Circuit(n),
         )
         for build in builders:
             with pytest.raises(ValueError) as info:
