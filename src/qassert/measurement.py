@@ -17,6 +17,7 @@ from .state import (
     _branch_probabilities,
     _check_qubits,
     _checked_probabilities,
+    _is_index,
     _project,
 )
 
@@ -143,7 +144,7 @@ def postselect(state: StateVector, q: int, bit: int) -> StateVector | None:
     BRANCH_PROBABILITY_FLOOR (the branch is impossible).
     """
     _check_qubits(state.num_qubits, (q,))
-    if bit not in (0, 1):
+    if not _is_index(bit) or bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     probs = _branch_probabilities(state.amps, q)
     branch = probs[bit]

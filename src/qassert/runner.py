@@ -400,12 +400,8 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     def split(amps, step, prob):
         nonlocal walked
         probs = _checked_probabilities(amps, step[1])
-        # The likelier outcome keeps the array; on a tie, 0 is walked first.
-        branches = sorted(
-            (((outcome, p), prob * p) for outcome, p in enumerate(probs)
-             if p >= BRANCH_PROBABILITY_FLOOR),
-            key=lambda branch: branch[0][1],
-        )
+        branches = [((outcome, p), prob * p) for outcome, p in enumerate(probs)
+                    if p >= BRANCH_PROBABILITY_FLOOR]
         walked += len(branches)
         if walked > MAX_EXACT_BRANCHES:
             raise ValueError(

@@ -79,10 +79,15 @@ def _check_num_qubits(n) -> None:
         raise ValueError(f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {n!r}")
 
 
+def _is_index(value) -> bool:
+    """The integer rule for indices and bits: an int or a numpy integer, not a bool."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def _check_qubits(n: int, qubits, what: str = "qubit", of: str = "state") -> None:
     """Reject any of `qubits` that is not an integer index into an `n`-qubit `of`."""
     for q in qubits:
-        if type(q) is not int and not isinstance(q, np.integer):
+        if not _is_index(q):
             raise ValueError(f"{what} index must be an integer, got {q!r}")
         if not 0 <= q < n:
             raise ValueError(f"{what} {q} out of range for {n}-qubit {of}")
@@ -122,7 +127,7 @@ def new_basis_state(num_qubits: int, basis_index: int = 0) -> StateVector:
     """Computational-basis state |basis_index> on num_qubits qubits."""
     _check_num_qubits(num_qubits)
     dim = 1 << num_qubits
-    if not isinstance(basis_index, int) or not 0 <= basis_index < dim:
+    if not _is_index(basis_index) or not 0 <= basis_index < dim:
         raise ValueError(
             f"basis_index must be an integer in [0, {dim}), got {basis_index!r}"
         )

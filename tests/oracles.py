@@ -4,7 +4,8 @@ Deliberately shares no code with the package kernels: gates become full
 2^n x 2^n unitaries via Kronecker products, states are plain matrix-vector
 products, and measurements branch on projector matrices.  Only practical
 for a handful of qubits, which is the point - it is the brute-force
-oracle the fast simulator is checked against.
+oracle the fast simulator is checked against.  `reference_shots` runs
+noisy shots the same way, drawing from its own copy of the random stream.
 """
 
 from __future__ import annotations
@@ -107,3 +108,73 @@ def projected_state(circuit, outcomes: dict[str, int]) -> np.ndarray:
 def l1_distance(a: dict[str, float], b: dict[str, float]) -> float:
     keys = set(a) | set(b)
     return sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(value: int) -> int:
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
+
+
+def _uniforms(master_seed: int, shot_index: int):
+    """Shot `shot_index`'s stream of uniforms in [0, 1): splitmix64 from a
+    seed that mixes the master seed with the mixed shot index."""
+    counter = _splitmix64((master_seed & _MASK64) ^ _splitmix64(shot_index))
+    while True:
+        counter = (counter + 0x9E3779B97F4A7C15) & _MASK64
+        yield (_splitmix64(counter) >> 11) * 2.0**-53
+
+
+def reference_shots(circuit, master_seed: int, shots: int, model=None) -> list:
+    """Shots of a lowered circuit at full declared width: no liveness, no
+    outcome tree and no Pauli frame.
+
+    Each shot draws in the documented order: after a gate, one uniform per
+    touched qubit when gate_flip_p > 0 and one more for the Pauli of a fired
+    depolarizing error; at a measurement, one for the outcome (1 iff it is
+    below P(1)), then one for a readout flip when readout_flip_p > 0.  A
+    fired Pauli acts as a matrix.  Returns (creg bitstring, final state,
+    [(uniform, P(1)) at each measurement]) per shot.
+    """
+    from qassert import GateInstr
+
+    n = circuit.num_qubits
+    gate_p, readout_p = (model.gate_flip_p, model.readout_flip_p) if model else (0.0, 0.0)
+    ops: dict = {}
+
+    def op(name, qubits):
+        if (name, qubits) not in ops:
+            ops[name, qubits] = (embed(_P1 if name == "p1" else _P0, qubits[0], n)
+                                 if name in ("p0", "p1") else gate_unitary(name, qubits, n))
+        return ops[name, qubits]
+
+    results = []
+    for shot in range(shots):
+        draw = _uniforms(master_seed, shot).__next__
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[0] = 1.0
+        bits, draws = {}, []
+        for instr in circuit.instructions:
+            if isinstance(instr, GateInstr):
+                psi = op(instr.gate.name, instr.gate.qubits) @ psi
+                for q in instr.gate.qubits if gate_p > 0.0 else ():
+                    if draw() < gate_p:
+                        r = draw() if model.depolarizing else 0.0
+                        pauli = "x" if r < 1.0 / 3.0 else ("y" if r < 2.0 / 3.0 else "z")
+                        psi = op(pauli, (q,)) @ psi
+                continue
+            branch = op("p1", (instr.qubit,)) @ psi
+            p1, u = float(np.vdot(branch, branch).real), draw()
+            draws.append((u, p1))
+            outcome = int(u < p1)
+            psi = branch if outcome else op("p0", (instr.qubit,)) @ psi
+            psi = psi / np.linalg.norm(psi)
+            if readout_p > 0.0 and draw() < readout_p:
+                outcome ^= 1
+            bits[instr.creg] = outcome
+        key = "".join(str(bits[c]) for c in circuit.creg_names)
+        results.append((key, psi, draws))
+    return results

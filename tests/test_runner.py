@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -33,7 +34,7 @@ import qassert.runner as runner
 
 from helpers import binomial_4sigma
 from make_liveness_golden import FIXTURE, MODELS
-from oracles import brute_force_distribution, l1_distance, projected_state
+from oracles import brute_force_distribution, l1_distance, projected_state, reference_shots
 
 BELL_SOURCE = """\
 qubits 2
@@ -70,6 +71,9 @@ assert_entangled 6 2 parity 0 label e
 
 # Each distinct fixture circuit once: the corpus files and the random ones.
 GOLDEN_SOURCES = {c["source"]: c["name"] for c in GOLDEN}
+
+# The fixture circuits small enough for the full-width matrix reference.
+REFERENCE_SOURCES = {c["source"]: c["name"] for c in GOLDEN if c["lowered_qubits"] <= 8}
 
 FINAL_STATE_SOURCES = {
     f"{c['lowered_qubits']}q-{c['name']}": c["source"]
@@ -362,6 +366,40 @@ class TestOutcomeTree:
         stats = run_shots(circuit, 1000, 3, MODELS[model])
         assert sum(stats.counts.values()) == 1000
         assert applied == [step[1] for step in gate_steps]
+
+
+def nearest_draw(shots) -> str:
+    """The measurement draw closest to its P(1) among reference shots."""
+    draws = [draw for _, _, shot_draws in shots for draw in shot_draws]
+    if not draws:
+        return "no measurement draws"
+    u, p1 = min(draws, key=lambda d: abs(d[0] - d[1]))
+    return f"nearest draw {u!r} to P(1) = {p1!r}, distance {abs(u - p1)!r}"
+
+
+class TestDrawExactReference:
+    """Every shot must come out as the full-width matrix reference draws
+    it, which applies each fired Pauli to its state."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("source", REFERENCE_SOURCES, ids=REFERENCE_SOURCES.values())
+    def test_counts_match_reference(self, source, model):
+        circuit = lowered(source)
+        shots = reference_shots(circuit, 21, 40, MODELS[model])
+        expected = dict(Counter(key for key, _, _ in shots))
+        assert run_shots(circuit, 40, 21, MODELS[model]).counts == expected, nearest_draw(shots)
+
+    @pytest.mark.parametrize("model", ["gate", "depolarizing"])
+    @pytest.mark.parametrize("source", REFERENCE_SOURCES, ids=REFERENCE_SOURCES.values())
+    def test_run_single_state_matches_reference(self, source, model):
+        circuit = lowered(source)
+        for i, shot in enumerate(reference_shots(circuit, 21, 10, MODELS[model])):
+            key, psi, _ = shot
+            record, state = run_single(circuit, 21, MODELS[model], shot_index=i)
+            assert "".join(str(record.creg_values[c]) for c in circuit.creg_names) == key
+            assert states_equal_up_to_global_phase(
+                state, StateVector(circuit.num_qubits, psi), 1e-12
+            ), (i, nearest_draw([shot]))
 
 
 class TestExactDistribution:

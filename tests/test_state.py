@@ -324,6 +324,17 @@ INDEX_ENTRY_POINTS = {
 }
 
 
+# Every public entry point that takes an integer index or bit, as (call on
+# a 2-qubit state and the integer, what it says when given True).
+INTEGER_ARGUMENTS = {
+    **{name: (call, f"{what} index must be an integer, got True")
+       for name, (what, call) in INDEX_ENTRY_POINTS.items()},
+    "new_basis_state": (lambda st, i: new_basis_state(st.num_qubits, i),
+                        "basis_index must be an integer in [0, 4), got True"),
+    "postselect-bit": (lambda st, bit: postselect(st, 0, bit), "bit must be 0 or 1, got True"),
+}
+
+
 class TestIndexChecks:
     """One check guards every qubit index and every qubit count."""
 
@@ -342,17 +353,17 @@ class TestIndexChecks:
             call(ket("0+"), 1.0)
         assert str(info.value) == f"{what} index must be an integer, got 1.0"
 
-    @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+    @pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
     @pytest.mark.parametrize("q", [0, np.int64(0)])
     def test_integer_index_accepted(self, entry, q):
-        INDEX_ENTRY_POINTS[entry][1](ket("0+"), q)
+        INTEGER_ARGUMENTS[entry][0](ket("0+"), q)
 
-    @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+    @pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
     def test_bool_index_rejected(self, entry):
-        what, call = INDEX_ENTRY_POINTS[entry]
+        call, message = INTEGER_ARGUMENTS[entry]
         with pytest.raises(ValueError) as info:
             call(ket("0+"), True)
-        assert str(info.value) == f"{what} index must be an integer, got True"
+        assert str(info.value) == message
 
     def test_tensor_checks_the_count_first(self):
         with pytest.raises(ValueError) as info:
