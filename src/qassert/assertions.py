@@ -23,7 +23,9 @@ Three checks are provided:
 
 The oracles below predict the ancilla statistics and the post-measurement
 target state analytically, straight from the input amplitudes; tests pit
-them against gate-level simulation of the same gadgets.
+them against gate-level simulation of the same gadgets.  Without gate noise
+the executor measures the classical and entanglement ancillas as a parity
+of their targets and never allocates them (see `qassert.runner`).
 """
 
 from __future__ import annotations

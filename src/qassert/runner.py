@@ -16,9 +16,12 @@ in at the bit measured (before readout noise).  The state therefore
 holds only the *live* qubits, and its width is the plan's peak number of
 live qubits, not the declared qubits plus one per assertion ancilla:
 assertions that run one after another cost one extra qubit at peak.
-`_ShotProgram` compiles the plan in one pass over the instructions, as
-segments: runs of alloc and gate steps cut at every step that draws
-randomness (a measurement or a gate-noise site).
+Without gate noise they cost none: a qubit that only takes `x` and
+`cnot` as target, as an assertion ancilla or a Bell partner does, stays
+out of the state, and its measurement reads the parity of its controls
+(deferred measurement).  `_ShotProgram` compiles the plan in one pass
+over the instructions, as segments: runs of alloc and gate steps cut at
+every step that draws randomness (a measurement or a gate-noise site).
 
 One engine walks the plan's outcome tree (`_ShotProgram.walk`): a gate
 runs once per tree node, and at a branch step a split rule names the
@@ -53,6 +56,8 @@ from .state import (
     _apply_gate_inplace,
     _checked_probabilities,
     _drop_qubit,
+    _parity_class,
+    _project,
 )
 
 # Most measurement branches exact_distribution visits: each holds a
@@ -63,6 +68,10 @@ MAX_EXACT_BRANCHES = 1 << 16
 # bits held at once, and the log2(SHOT_BLOCK) + 1 states a walk keeps
 # alive; results do not depend on it.
 SHOT_BLOCK = 4096
+
+# The entry of a qubit never used: out of the state with no controls and no
+# flip, and it re-enters at |0>.
+_FRESH = (frozenset(), 0, None)
 
 
 @dataclass(frozen=True)
@@ -123,13 +132,18 @@ class FilterReport:
     kept_fraction: float
 
 
+def _bit(projected, slot) -> int:
+    """The projected bit of creg slot `slot`; 0 for a qubit never measured (None)."""
+    return 0 if slot is None else projected[slot]
+
+
 def _run_gates(amps, gates, projected) -> np.ndarray:
     """Run a segment's alloc and gate steps; returns the new state."""
     for step in gates:
         if step[0] == "g":
             _apply_gate_inplace(amps, step[1])
         else:
-            amps = _alloc_qubit(amps, 0 if step[1] is None else projected[step[1]])
+            amps = _alloc_qubit(amps, _bit(projected, step[1]))
     return amps
 
 
@@ -147,21 +161,22 @@ def _enter(amps, projected, step, event, copy: bool):
     """The state of the branch that took `event` at branch step `step`.
 
     With `copy` the branch gets its own projected bits and, at a noise
-    site, its own array: a branch walked before the last copies even when
-    no Pauli fired, since its later in-place steps would otherwise corrupt
-    the last branch's state.  A measurement drops its qubit into a new
-    array, so it never writes into the parent's.
+    site or a parity step, its own array: a branch walked before the last
+    copies even when no Pauli fired, since its later in-place steps would
+    otherwise corrupt the last branch's state.  A measurement drops its
+    qubit into a new array, so it never writes into the parent's.
     """
     if copy:
         projected = projected.copy()
-    if step[0] == "m":
-        _, pos, slot = step
-        outcome, branch = event
-        projected[slot] = outcome
-        return _drop_qubit(amps, pos, outcome, branch), projected
+    if step[0] != "n":
+        projected[step[2]] = event[0]
+        if step[0] == "m":
+            return _drop_qubit(amps, step[1], *event), projected
     if copy:
         amps = amps.copy()
-    if event is not None:
+    if step[0] == "p":
+        _project(amps, step[1], *event)
+    elif event is not None:
         _apply_gate_inplace(amps, Gate(event, (step[1],)))
     return amps, projected
 
@@ -170,32 +185,44 @@ class _ShotProgram:
     """A lowered circuit compiled once, under one noise model (None for
     `exact_distribution`), into the segments `walk` runs.
 
-    Compiling is one pass over the instructions, and it emits steps on
+    Compiling is one pass over the instructions.  Without gate noise it
+    defers a qubit out of the state while, since it last left the state,
+    it has taken only `x` and `cnot` as target: `outside` holds such a
+    qubit as (its controls, whose cnots have not cancelled; a flip bit;
+    the creg slot of its last measurement, whose projected bit it
+    re-enters at, or None for |0>).  Its controls are live.  Its first
+    other use flushes it: the alloc, `x` and `cnot` steps it deferred
+    run then.  So does any use of one of its controls other than another
+    `cnot c q`, a measurement included, since a deferred gate commutes
+    only with what acts on other qubits.  Under gate noise nothing is
+    deferred, since noise sites draw in program order.  The steps, on
     physical positions:
-    - ("a", slot) tensors a qubit in as a new top position before a use
-      while it is out of the state: at |0> on its first use (slot None),
-      else at the projected bit of `slot`, its last measurement;
+    - ("a", slot) tensors a qubit in as a new top position at the
+      projected bit of `slot` (|0> for None);
     - ("g", gate on positions) runs a gate;
     - ("m", position, creg slot) measures a qubit and drops it: it leaves
       the state, and the qubits above it move down one position.  The
       slot counts the measurements before it, since `creg_names` is in
       measurement order;
+    - ("p", control positions, creg slot, flip, re-entry slot) measures a
+      deferred qubit: it reads the parity of its controls XOR the flip
+      XOR its re-entry bit.  `walk` folds that constant into the parity
+      class (`state._parity_class`) before the split rule draws on it;
     - ("n", position), under gate noise only, is the noise site after a
       gate on each qubit the gate touches.
     Measurements and noise sites are the branch steps.  `segments` holds
     (alloc and gate steps, the branch step after them), the last with
-    branch step None.  `layout` is the logical qubit at each position
-    after the last step, `dropped` maps each measured qubit that is out
-    of the state at the end to the creg slot of its last measurement, and
+    branch step None; it flushes every qubit still deferred.  `layout` is
+    the logical qubit at each position after the last step, and
     `peak_width` is the most qubits alive at once.
 
     `walk` runs the segments down their outcome tree.  Gate and alloc
     steps run once per tree node.  At a branch step a split rule lists the
     branches taken as (event, payload): the event is (outcome, its
     probability) or the Pauli that fired (or None).  Each measurement
-    branch drops its qubit into a new array.  At a noise site the last
-    branch keeps the parent's array and is walked last; every other
-    branch copies it when it is walked.
+    branch drops its qubit into a new array.  At a noise site or a parity
+    step the last branch keeps the parent's array and is walked last;
+    every other branch copies it when it is walked.
 
     The shot rule, `split_shots`, carries a group of shots.  Every shot
     draws from its own stream, exactly as a lone shot would, and the group
@@ -219,28 +246,59 @@ class _ShotProgram:
         gate_noise = model is not None and model.gate_flip_p > 0.0
         self.readout_noise = model is not None and model.readout_flip_p > 0.0
         layout: list[int] = []
-        self.dropped: dict[int, int] = {}
+        self.outside: dict[int, tuple] = {}
         self.peak_width = 0
         segments, run, slot = [], [], 0
+
+        def flush(q):
+            controls, flip, at = self.outside.pop(q, _FRESH)
+            layout.append(q)
+            top = len(layout) - 1
+            run.append(("a", at))
+            if flip:
+                run.append(("g", Gate("x", (top,))))
+            run.extend(("g", Gate("cnot", (layout.index(c), top))) for c in sorted(controls))
+
         for instr in circuit.instructions:
-            qubits = instr.gate.qubits if isinstance(instr, GateInstr) else (instr.qubit,)
-            for q in qubits:
-                if q not in layout:
-                    layout.append(q)
-                    run.append(("a", self.dropped.pop(q, None)))
+            is_gate = isinstance(instr, GateInstr)
+            qubits = instr.gate.qubits if is_gate else (instr.qubit,)
+            q = qubits[-1]
+            defer = not gate_noise and q not in layout and (
+                not is_gate or instr.gate.name in ("x", "cnot"))
+            for r in [r for r, entry in self.outside.items()
+                      if r != q and not entry[0].isdisjoint(qubits)]:
+                flush(r)
+            for u in qubits:
+                if u not in layout and not (defer and u == q):
+                    flush(u)
             self.peak_width = max(self.peak_width, len(layout))
-            positions = tuple(layout.index(q) for q in qubits)
-            if isinstance(instr, GateInstr):
+            if defer:
+                controls, flip, at = self.outside.get(q, _FRESH)
+                if is_gate:
+                    if instr.gate.name == "x":
+                        flip ^= 1
+                    else:
+                        controls ^= {qubits[0]}
+                    self.outside[q] = (controls, flip, at)
+                    continue
+                positions = tuple(layout.index(c) for c in controls)
+                branch_steps = [("p", positions, slot, flip, at)]
+            elif is_gate:
+                positions = tuple(layout.index(u) for u in qubits)
                 run.append(("g", Gate(instr.gate.name, positions)))
                 branch_steps = [("n", pos) for pos in positions] if gate_noise else []
             else:
-                branch_steps = [("m", positions[0], slot)]
-                layout.remove(instr.qubit)
-                self.dropped[instr.qubit] = slot
+                branch_steps = [("m", layout.index(q), slot)]
+                layout.remove(q)
+            if not is_gate:
+                self.outside[q] = (frozenset(), 0, slot)
                 slot += 1
             for step in branch_steps:
                 segments.append((tuple(run), step))
                 run = []
+        for r in [r for r, entry in self.outside.items() if entry[0] or entry[1]]:
+            flush(r)
+        self.peak_width = max(self.peak_width, len(layout))
         segments.append((tuple(run), None))
         self.segments = tuple(segments)
         self.layout = tuple(layout)
@@ -254,8 +312,8 @@ class _ShotProgram:
                 return [(_draw_pauli(self.model, group[0][0]), group)]
             parts = _partition(group, [_draw_pauli(self.model, rng) for rng, _ in group])
         else:
-            _, pos, slot = step
-            probs = _checked_probabilities(amps, pos)
+            _, where, slot = step
+            probs = _checked_probabilities(amps, where)
             outcomes = [_draw_outcome(probs[1], rng) for rng, _ in group]
             for (rng, bits), outcome in zip(group, outcomes):
                 if self.readout_noise:
@@ -289,6 +347,10 @@ class _ShotProgram:
                 if step is None:
                     yield amps, projected, payload
                     break
+                if step[0] == "p":
+                    _, positions, slot, flip, at = step
+                    ones = _parity_class(amps.size, positions, flip ^ _bit(projected, at))
+                    step = ("p", ones, slot)
                 *others, (event, payload) = split(amps, step, payload)
                 if not others:
                     if event is not None:
@@ -311,9 +373,7 @@ class _ShotProgram:
         order = sorted(range(width), key=lambda p: layout[p], reverse=True)
         live = final.reshape((2,) * width).transpose([width - 1 - p for p in order])
         index = tuple(
-            slice(None) if q in layout
-            else projected[self.dropped[q]] if q in self.dropped
-            else 0
+            slice(None) if q in layout else _bit(projected, self.outside.get(q, _FRESH)[2])
             for q in reversed(range(n))
         )
         full = np.zeros((2,) * n, dtype=np.complex128)

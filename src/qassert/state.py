@@ -1,6 +1,7 @@
 """Dense statevector core: states, gates, unitary gate application, and
 every qubit-axis primitive (branch weights, projection, dropping a qubit
-and tensoring one in) with the checks on qubit indices and qubit counts.
+and tensoring one in, and the same weights and projection for the parity
+of several qubits) with the checks on qubit indices and qubit counts.
 
 Bit convention
 --------------
@@ -286,9 +287,23 @@ def _branch_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
     return p0, p1
 
 
-def _checked_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
-    """(P(0), P(1)) of measuring qubit q, after checking the state's norm."""
-    p0, p1 = _branch_probabilities(amps, q)
+def _parity_class(size: int, positions, flip: int) -> np.ndarray:
+    """A mask over the basis indices of a `size`-amplitude state: True where
+    the parity of the bits at `positions`, XOR `flip`, reads 1."""
+    ones = np.array([flip], dtype=bool)
+    for p in range(size.bit_length() - 1):
+        ones = np.concatenate((ones, ~ones if p in positions else ones))
+    return ones
+
+
+def _checked_probabilities(amps: np.ndarray, q) -> tuple[float, float]:
+    """(P(0), P(1)) of measuring qubit q, or the parity class q (an array
+    from _parity_class), after checking the state's norm."""
+    if isinstance(q, np.ndarray):
+        weights = amps.real**2 + amps.imag**2
+        p0, p1 = float(weights.sum(where=~q)), float(weights.sum(where=q))
+    else:
+        p0, p1 = _branch_probabilities(amps, q)
     if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
         raise InvariantViolationError(
             f"state norm drifted before measurement: sum |amp|^2 = {p0 + p1!r}"
@@ -296,10 +311,13 @@ def _checked_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
     return p0, p1
 
 
-def _project(amps: np.ndarray, q: int, bit: int, branch: float) -> None:
-    """Project amps in place onto qubit q reading `bit`, and renormalize by
-    that branch's probability `branch`."""
-    amps.reshape(-1, 2, 1 << q)[:, 1 - bit, :] = 0.0
+def _project(amps: np.ndarray, q, bit: int, branch: float) -> None:
+    """Project amps in place onto qubit q, or the parity class q, reading
+    `bit`, and renormalize by that branch's probability `branch`."""
+    if isinstance(q, np.ndarray):
+        amps[q != bit] = 0.0
+    else:
+        amps.reshape(-1, 2, 1 << q)[:, 1 - bit, :] = 0.0
     amps *= 1.0 / np.sqrt(branch)
 
 

@@ -294,7 +294,11 @@ class TestLiveness:
         stats = run_shots(circuit, 400, 5, NoiseModel(readout_flip_p=readout_p))
         assert set(stats.counts) == {"00", "11"}
 
-    def test_peak_width_of_sequential_checks(self):
+    # Without gate noise a classical or entanglement check costs no qubit,
+    # and neither does a Bell partner that only takes its control's bit.
+    # Under gate noise every qubit enters the state.
+    @pytest.mark.parametrize("model", ["none", "readout", "gate"])
+    def test_peak_width_of_sequential_checks(self, model):
         ghz = ["qubits 14", "h 0"] + [f"cnot {q - 1} {q}" for q in range(1, 14)]
         targets = " ".join(str(q) for q in range(14))
         ghz += [f"assert_entangled {targets} parity 0 label g{k}" for k in range(4)]
@@ -307,10 +311,11 @@ class TestLiveness:
         # A measured qubit leaves the state until its next use.
         reuse = ["qubits 2", "h 0", "measure 0 -> a", "h 1", "measure 1 -> b",
                  "x 0", "measure 0 -> c"]
-        for source, declared, peak in ((ghz, 18, 15), (pairs, 20, 19), (reuse, 2, 1)):
+        peaks = (15, 19, 1) if model == "gate" else (14, 11, 1)
+        for source, declared, peak in zip((ghz, pairs, reuse), (18, 20, 2), peaks):
             circuit = lowered("\n".join(source) + "\n")
             assert circuit.num_qubits == declared
-            assert runner._ShotProgram(circuit, None).peak_width == peak
+            assert runner._ShotProgram(circuit, MODELS[model]).peak_width == peak
 
 
 class TestOutcomeTree:
@@ -348,10 +353,16 @@ class TestOutcomeTree:
         second = run_shots(circuit, 93, 9, MODELS[model], shot_offset=107)
         assert merge_statistics(first, second) == whole
 
-    @pytest.mark.parametrize("model", ["none", "readout"])
+    @pytest.mark.parametrize("model", ["none", "readout", "gate"])
     def test_shared_gates_run_once(self, model, monkeypatch):
         # Without gate noise every Bell shot shares the state up to the
-        # first data measurement, and no gate follows it.
+        # first data measurement, and no gate follows it.  The ancilla only
+        # collects parity, so it never enters the state: h and one cnot are
+        # the only kernels.  Under gate noise nothing is deferred.
+        circuit = lowered(BELL_SOURCE)
+        if model == "gate":
+            assert runner._ShotProgram(circuit, MODELS[model]).segments == BELL_NOISY_SEGMENTS
+            return
         applied = []
 
         def counting(amps, gate):
@@ -360,12 +371,55 @@ class TestOutcomeTree:
 
         apply = runner._apply_gate_inplace
         monkeypatch.setattr(runner, "_apply_gate_inplace", counting)
-        circuit = lowered(BELL_SOURCE)
-        gate_steps = [s for gates, _ in runner._ShotProgram(circuit, None).segments
-                      for s in gates if s[0] == "g"]
         stats = run_shots(circuit, 1000, 3, MODELS[model])
         assert sum(stats.counts.values()) == 1000
-        assert applied == [step[1] for step in gate_steps]
+        assert applied == [h(0), cnot(0, 1)]
+
+
+# Bell + assert_entangled under gate noise: every qubit is allocated before
+# its first gate, a noise site follows each touched qubit, and the ancilla
+# (position 2) is measured as a qubit.
+BELL_NOISY_SEGMENTS = (
+    ((("a", None), ("g", h(0))), ("n", 0)),
+    ((("a", None), ("g", cnot(0, 1))), ("n", 0)),
+    ((), ("n", 1)),
+    ((("a", None), ("g", cnot(0, 2))), ("n", 0)),
+    ((), ("n", 2)),
+    ((("g", cnot(1, 2)),), ("n", 1)),
+    ((), ("n", 2)),
+    ((), ("m", 2, 0)),
+    ((), ("m", 0, 1)),
+    ((), ("m", 0, 2)),
+    ((), None),
+)
+
+
+# Without gate noise a qubit that only takes x and cnot-as-target stays out
+# of the state, and its measurement is a parity step.  Each circuit takes
+# one path of that rule.
+PARITY_SOURCES = {
+    # The constant (flip XOR re-entry bit) is 1: the ancilla starts at |1>.
+    "constant-one": "qubits 2\nh 0\nh 1\nassert_classical 0 == 1 label c\n"
+                    "assert_entangled 0 1 parity 1 label e\nmeasure 0 -> a\nmeasure 1 -> b\n",
+    # The last target's duplicated cnot cancels it out of the parity.
+    "odd-target": "qubits 3\nh 0\nh 1\nh 2\nassert_entangled 0 1 2 parity 0 label e\n"
+                  "measure 0 -> a\nmeasure 1 -> b\nmeasure 2 -> c\n",
+    # The partner's parity step projects its control.
+    "partner-first": "qubits 2\nh 0\ncnot 0 1\nmeasure 1 -> b\nmeasure 0 -> a\n",
+    # Qubit 0 is measured out of the state, takes x and a cnot, is measured
+    # at its projected bit, then re-enters for an h.
+    "reenter-twice": "qubits 2\nh 1\ncnot 1 0\nmeasure 0 -> a\nh 1\nx 0\ncnot 1 0\n"
+                     "measure 0 -> b\nx 0\nh 0\nmeasure 0 -> c\n",
+    # An h on the control brings the partner into the state first.
+    "flush-on-h": "qubits 2\nh 0\ncnot 0 1\nh 0\nmeasure 1 -> b\nmeasure 0 -> a\n",
+    # So does measuring the control.
+    "flush-on-measure": "qubits 2\nh 0\nx 1\ncnot 0 1\nmeasure 0 -> a\nmeasure 1 -> b\n",
+    # Qubit 1 is still out of the state at the end; run_single's state holds it.
+    "never-measured": "qubits 3\nh 0\ncnot 0 1\nx 1\nh 2\nmeasure 2 -> c\n",
+    # An unused qubit's measurement is a parity step on no positions; it
+    # still draws.
+    "unused-measured": "qubits 2\nh 0\nmeasure 1 -> z\nmeasure 0 -> a\n",
+}
 
 
 def nearest_draw(shots) -> str:
@@ -392,14 +446,27 @@ class TestDrawExactReference:
     @pytest.mark.parametrize("model", ["gate", "depolarizing"])
     @pytest.mark.parametrize("source", REFERENCE_SOURCES, ids=REFERENCE_SOURCES.values())
     def test_run_single_state_matches_reference(self, source, model):
+        check_run_single(lowered(source), MODELS[model], 10)
+
+    @pytest.mark.parametrize("model", ["none", "readout"])
+    @pytest.mark.parametrize("source", PARITY_SOURCES.values(), ids=PARITY_SOURCES.keys())
+    def test_parity_steps_match_reference(self, source, model):
         circuit = lowered(source)
-        for i, shot in enumerate(reference_shots(circuit, 21, 10, MODELS[model])):
-            key, psi, _ = shot
-            record, state = run_single(circuit, 21, MODELS[model], shot_index=i)
-            assert "".join(str(record.creg_values[c]) for c in circuit.creg_names) == key
-            assert states_equal_up_to_global_phase(
-                state, StateVector(circuit.num_qubits, psi), 1e-12
-            ), (i, nearest_draw([shot]))
+        shots = reference_shots(circuit, 21, 60, MODELS[model])
+        expected = dict(Counter(key for key, _, _ in shots))
+        assert run_shots(circuit, 60, 21, MODELS[model]).counts == expected, nearest_draw(shots)
+        check_run_single(circuit, MODELS[model], 10)
+
+
+def check_run_single(circuit, model, shots) -> None:
+    """run_single's bits and full state equal the reference's, shot by shot."""
+    for i, shot in enumerate(reference_shots(circuit, 21, shots, model)):
+        key, psi, _ = shot
+        record, state = run_single(circuit, 21, model, shot_index=i)
+        assert "".join(str(record.creg_values[c]) for c in circuit.creg_names) == key
+        assert states_equal_up_to_global_phase(
+            state, StateVector(circuit.num_qubits, psi), 1e-12
+        ), (i, nearest_draw([shot]))
 
 
 class TestExactDistribution:
@@ -458,17 +525,21 @@ class TestExactDistribution:
 
     def test_norm_drift_raises(self, monkeypatch):
         apply = runner._apply_gate_inplace
-        drifted = []
 
         def drifting(amps, gate):
             apply(amps, gate)
-            if not drifted:
-                amps *= 1.0 + 1e-6
-                drifted.append(gate)
+            amps *= 1.0 + 1e-6
 
         monkeypatch.setattr(runner, "_apply_gate_inplace", drifting)
+        # The second circuit's only branch step is the ancilla's parity step.
+        parity_only = lowered("qubits 1\nx 0\nassert_classical 0 == 1 label c\n")
+        steps = [step for _, step in runner._ShotProgram(parity_only, None).segments]
+        assert [step and step[0] for step in steps] == ["p", None]
         with pytest.raises(InvariantViolationError, match="norm drifted"):
             exact_distribution(lowered(BELL_SOURCE))
+        for run in (exact_distribution, lambda circuit: run_shots(circuit, 10, 0)):
+            with pytest.raises(InvariantViolationError, match="norm drifted"):
+                run(parity_only)
 
 
 def table1_stats() -> RunStatistics:
