@@ -117,6 +117,15 @@ def _check_shots(shots) -> None:
         raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
 
 
+def _check_stream_args(**args) -> tuple[int, ...]:
+    """The integer rule for random-stream arguments (seeds, shot offsets and
+    indices), by keyword: their values as ints, which a stream takes mod 2**64."""
+    for name, value in args.items():
+        if not _is_index(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    return tuple(map(int, args.values()))
+
+
 def sample_measurements(
     state: StateVector, q: int, shots: int, master_seed: int, *, shot_offset: int = 0
 ) -> dict[int, int]:
@@ -129,6 +138,8 @@ def sample_measurements(
     """
     _check_qubits(state.num_qubits, (q,))
     _check_shots(shots)
+    master_seed, shot_offset = _check_stream_args(master_seed=master_seed,
+                                                  shot_offset=shot_offset)
     p1 = _checked_probabilities(state.amps, q)[1]
     ones = sum(
         _draw_outcome(p1, RngStream.for_shot(master_seed, shot_offset + i))

@@ -20,8 +20,10 @@ Without gate noise they cost none: a qubit that only takes `x` and
 `cnot` as target, as an assertion ancilla or a Bell partner does, stays
 out of the state, and its measurement reads the parity of its controls
 (deferred measurement).  `_ShotProgram` compiles the plan in one pass
-over the instructions, as segments: runs of alloc and gate steps cut at
-every step that draws randomness (a measurement or a gate-noise site).
+over the instructions into one flat list of alloc, gate, measurement and
+gate-noise steps.  A shot's record is fixed at its last measurement, so
+`run_shots` and `exact_distribution` stop there; only `run_single`, which
+returns the final state, runs the steps after it.
 
 One engine walks the plan's outcome tree (`_ShotProgram.walk`): a gate
 runs once per tree node, and at a branch step a split rule names the
@@ -47,7 +49,7 @@ import numpy as np
 
 from .lang import Circuit, GateInstr, _split_cregs
 from .measurement import (BRANCH_PROBABILITY_FLOOR, RngStream, _check_branch,
-                          _check_shots, _draw_outcome)
+                          _check_shots, _check_stream_args, _draw_outcome)
 from .noise import NoiseModel, _draw_pauli, apply_readout_noise
 from .state import (
     Gate,
@@ -137,16 +139,6 @@ def _bit(projected, slot) -> int:
     return 0 if slot is None else projected[slot]
 
 
-def _run_gates(amps, gates, projected) -> np.ndarray:
-    """Run a segment's alloc and gate steps; returns the new state."""
-    for step in gates:
-        if step[0] == "g":
-            _apply_gate_inplace(amps, step[1])
-        else:
-            amps = _alloc_qubit(amps, _bit(projected, step[1]))
-    return amps
-
-
 def _partition(group: list, keys: list) -> dict:
     """Split `group` by the parallel list `keys`: {key: shots with it}."""
     if keys.count(keys[0]) == len(keys):
@@ -183,11 +175,11 @@ def _enter(amps, projected, step, event, copy: bool):
 
 class _ShotProgram:
     """A lowered circuit compiled once, under one noise model (None for
-    `exact_distribution`), into the segments `walk` runs.
+    `exact_distribution`), into the flat step list `walk` runs.
 
     Compiling is one pass over the instructions.  Without gate noise it
     defers a qubit out of the state while, since it last left the state,
-    it has taken only `x` and `cnot` as target: `outside` holds such a
+    it has taken only `x` and `cnot` as target: the compile holds such a
     qubit as (its controls, whose cnots have not cancelled; a flip bit;
     the creg slot of its last measurement, whose projected bit it
     re-enters at, or None for |0>).  Its controls are live.  Its first
@@ -195,7 +187,7 @@ class _ShotProgram:
     run then.  So does any use of one of its controls other than another
     `cnot c q`, a measurement included, since a deferred gate commutes
     only with what acts on other qubits.  Under gate noise nothing is
-    deferred, since noise sites draw in program order.  The steps, on
+    deferred, since noise sites draw in program order.  `steps` holds, on
     physical positions:
     - ("a", slot) tensors a qubit in as a new top position at the
       projected bit of `slot` (|0> for None);
@@ -210,14 +202,17 @@ class _ShotProgram:
       class (`state._parity_class`) before the split rule draws on it;
     - ("n", position), under gate noise only, is the noise site after a
       gate on each qubit the gate touches.
-    Measurements and noise sites are the branch steps.  `segments` holds
-    (alloc and gate steps, the branch step after them), the last with
-    branch step None; it flushes every qubit still deferred.  `layout` is
-    the logical qubit at each position after the last step, and
-    `peak_width` is the most qubits alive at once.
+    Measurements and noise sites are the branch steps.  The last steps
+    flush every declared qubit not in the state: a dropped qubit at its
+    projected bit, an unused one at |0>, a deferred one with its `x` and
+    `cnot` steps.  `layout` is the logical qubit at each position after
+    them.  `recorded` is the index just past the last measurement; no
+    later step changes a recorded bit, so `run_shots` and
+    `exact_distribution` walk only `steps[:recorded]`, and `peak_width`
+    is the most qubits alive at once there.
 
-    `walk` runs the segments down their outcome tree.  Gate and alloc
-    steps run once per tree node.  At a branch step a split rule lists the
+    `walk` runs the steps down their outcome tree.  Gate and alloc steps
+    run once per tree node.  At a branch step a split rule lists the
     branches taken as (event, payload): the event is (outcome, its
     probability) or the Pauli that fired (or None).  Each measurement
     branch drops its qubit into a new array.  At a noise site or a parity
@@ -246,18 +241,17 @@ class _ShotProgram:
         gate_noise = model is not None and model.gate_flip_p > 0.0
         self.readout_noise = model is not None and model.readout_flip_p > 0.0
         layout: list[int] = []
-        self.outside: dict[int, tuple] = {}
-        self.peak_width = 0
-        segments, run, slot = [], [], 0
+        steps, outside = [], {}
+        slot = peak = self.recorded = self.peak_width = 0
 
         def flush(q):
-            controls, flip, at = self.outside.pop(q, _FRESH)
+            controls, flip, at = outside.pop(q, _FRESH)
             layout.append(q)
             top = len(layout) - 1
-            run.append(("a", at))
+            steps.append(("a", at))
             if flip:
-                run.append(("g", Gate("x", (top,))))
-            run.extend(("g", Gate("cnot", (layout.index(c), top))) for c in sorted(controls))
+                steps.append(("g", Gate("x", (top,))))
+            steps.extend(("g", Gate("cnot", (layout.index(c), top))) for c in sorted(controls))
 
         for instr in circuit.instructions:
             is_gate = isinstance(instr, GateInstr)
@@ -265,43 +259,39 @@ class _ShotProgram:
             q = qubits[-1]
             defer = not gate_noise and q not in layout and (
                 not is_gate or instr.gate.name in ("x", "cnot"))
-            for r in [r for r, entry in self.outside.items()
+            for r in [r for r, entry in outside.items()
                       if r != q and not entry[0].isdisjoint(qubits)]:
                 flush(r)
             for u in qubits:
                 if u not in layout and not (defer and u == q):
                     flush(u)
-            self.peak_width = max(self.peak_width, len(layout))
+            peak = max(peak, len(layout))
             if defer:
-                controls, flip, at = self.outside.get(q, _FRESH)
+                controls, flip, at = outside.get(q, _FRESH)
                 if is_gate:
                     if instr.gate.name == "x":
                         flip ^= 1
                     else:
                         controls ^= {qubits[0]}
-                    self.outside[q] = (controls, flip, at)
+                    outside[q] = (controls, flip, at)
                     continue
-                positions = tuple(layout.index(c) for c in controls)
-                branch_steps = [("p", positions, slot, flip, at)]
+                steps.append(("p", tuple(layout.index(c) for c in controls), slot, flip, at))
             elif is_gate:
                 positions = tuple(layout.index(u) for u in qubits)
-                run.append(("g", Gate(instr.gate.name, positions)))
-                branch_steps = [("n", pos) for pos in positions] if gate_noise else []
+                steps.append(("g", Gate(instr.gate.name, positions)))
+                if gate_noise:
+                    steps.extend(("n", pos) for pos in positions)
+                continue
             else:
-                branch_steps = [("m", layout.index(q), slot)]
+                steps.append(("m", layout.index(q), slot))
                 layout.remove(q)
-            if not is_gate:
-                self.outside[q] = (frozenset(), 0, slot)
-                slot += 1
-            for step in branch_steps:
-                segments.append((tuple(run), step))
-                run = []
-        for r in [r for r, entry in self.outside.items() if entry[0] or entry[1]]:
-            flush(r)
-        self.peak_width = max(self.peak_width, len(layout))
-        segments.append((tuple(run), None))
-        self.segments = tuple(segments)
-        self.layout = tuple(layout)
+            outside[q] = (frozenset(), 0, slot)
+            slot += 1
+            self.recorded, self.peak_width = len(steps), peak
+        for q in range(self.num_qubits):
+            if q not in layout:
+                flush(q)
+        self.steps, self.layout = tuple(steps), tuple(layout)
 
     def split_shots(self, amps, step, group) -> list:
         """The shot rule: draw every shot's event at branch step `step`,
@@ -327,58 +317,51 @@ class _ShotProgram:
         shots = parts.pop(largest)
         return [*parts.items(), (largest, shots)]
 
-    def walk(self, payload, split: Callable):
-        """Run the circuit from `payload` at the root, taking at each branch
-        step the branches `split(amps, step, payload)` lists.  Yields
+    def walk(self, payload, split: Callable, end: int):
+        """Run `steps[:end]` from `payload` at the root, taking at each
+        branch step the branches `split(amps, step, payload)` lists.  Yields
         (final state, projected bits, payload) once per leaf; projected bits
         are the measurement outcomes before readout noise, by creg slot."""
-        segments = self.segments
+        steps = self.steps
         projected = [0] * len(self.creg_names)
         stack = [(0, np.ones(1, dtype=np.complex128), projected, payload, None, None, False)]
         while stack:
             k, amps, projected, payload, step, event, copy = stack.pop()
             if step is not None:
                 amps, projected = _enter(amps, projected, step, event, copy)
-            while True:
-                gates, step = segments[k]
+            while k < end:
+                step = steps[k]
                 k += 1
-                if gates:
-                    amps = _run_gates(amps, gates, projected)
-                if step is None:
-                    yield amps, projected, payload
-                    break
+                if step[0] == "g":
+                    _apply_gate_inplace(amps, step[1])
+                    continue
+                if step[0] == "a":
+                    amps = _alloc_qubit(amps, _bit(projected, step[1]))
+                    continue
                 if step[0] == "p":
                     _, positions, slot, flip, at = step
                     ones = _parity_class(amps.size, positions, flip ^ _bit(projected, at))
                     step = ("p", ones, slot)
                 *others, (event, payload) = split(amps, step, payload)
-                if not others:
-                    if event is not None:
-                        amps, projected = _enter(amps, projected, step, event, False)
-                    continue
-                stack.append((k, amps, projected, payload, step, event, False))
-                stack += [(k, amps, projected, branch, step, branch_event, True)
-                          for branch_event, branch in others]
-                break
+                if others:
+                    stack.append((k, amps, projected, payload, step, event, False))
+                    stack += [(k, amps, projected, branch, step, branch_event, True)
+                              for branch_event, branch in others]
+                    break
+                if event is not None:
+                    amps, projected = _enter(amps, projected, step, event, False)
+            else:
+                yield amps, projected, payload
 
-    def full_state(self, final, projected) -> StateVector:
-        """A final state of `walk` over all declared qubits.
-
-        Live qubits keep their amplitudes, a dropped qubit goes back in at
-        its projected bit, and a qubit that was never used goes in as |0>.
-        """
-        layout, width, n = self.layout, len(self.layout), self.num_qubits
-        # Tensor axis k holds position width-1-k; order the live axes by
-        # descending logical qubit, as in the full register.
-        order = sorted(range(width), key=lambda p: layout[p], reverse=True)
-        live = final.reshape((2,) * width).transpose([width - 1 - p for p in order])
-        index = tuple(
-            slice(None) if q in layout else _bit(projected, self.outside.get(q, _FRESH)[2])
-            for q in reversed(range(n))
-        )
-        full = np.zeros((2,) * n, dtype=np.complex128)
-        full[index] = live
-        return StateVector(n, full.reshape(-1), copy=False)
+    def full_state(self, final) -> StateVector:
+        """A final state of `walk` over every step, as a state of the
+        declared qubits: the last steps brought every qubit in, so only the
+        axes move, from positions to descending logical qubits."""
+        layout, n = self.layout, self.num_qubits
+        # Tensor axis k holds position n-1-k.
+        axes = [n - 1 - layout.index(q) for q in reversed(range(n))]
+        amps = final.reshape((2,) * n).transpose(axes).reshape(-1)
+        return StateVector(n, amps, copy=False)
 
 
 def run_shots(
@@ -394,6 +377,8 @@ def run_shots(
     Deterministic given (circuit, shots, master_seed, model, shot_offset).
     """
     _check_shots(shots)
+    master_seed, shot_offset = _check_stream_args(master_seed=master_seed,
+                                                  shot_offset=shot_offset)
     program = _ShotProgram(circuit, model)
     creg_names = program.creg_names
 
@@ -403,7 +388,7 @@ def run_shots(
             (RngStream.for_shot(master_seed, shot_offset + i), [0] * len(creg_names))
             for i in range(start, min(shots, start + SHOT_BLOCK))
         ]
-        for _, _, group in program.walk(block, program.split_shots):
+        for _, _, group in program.walk(block, program.split_shots, program.recorded):
             for _, bits in group:
                 key = "".join("01"[b] for b in bits)
                 counts[key] = counts.get(key, 0) + 1
@@ -424,15 +409,17 @@ def run_single(
     measured for the last time sits at its projected bit (before readout
     noise), a qubit never used at |0>.
     """
+    master_seed, shot_index = _check_stream_args(master_seed=master_seed,
+                                                 shot_index=shot_index)
     program = _ShotProgram(circuit, model)
     creg_names = program.creg_names
     bits = [0] * len(creg_names)
     shot = (RngStream.for_shot(master_seed, shot_index), bits)
-    ((final, projected, _),) = program.walk([shot], program.split_shots)
+    ((final, _, _),) = program.walk([shot], program.split_shots, len(program.steps))
     creg_values = dict(zip(creg_names, bits))
     _, assertions = _split_cregs(creg_names)
     outcomes = {label: "fail" if bits[i] else "pass" for i, label in assertions}
-    return ShotRecord(creg_values, outcomes), program.full_state(final, projected)
+    return ShotRecord(creg_values, outcomes), program.full_state(final)
 
 
 def merge_statistics(a: RunStatistics, b: RunStatistics) -> RunStatistics:
@@ -470,7 +457,8 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
             )
         return branches
 
-    leaves = _ShotProgram(circuit, None).walk(1.0, split)
+    program = _ShotProgram(circuit, None)
+    leaves = program.walk(1.0, split, program.recorded)
     return {"".join("01"[b] for b in bits): prob for _, bits, prob in leaves}
 
 

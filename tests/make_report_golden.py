@@ -1,11 +1,13 @@
-"""Write tests/data/report_golden.json: pinned `qassert run` report output.
+"""Write tests/data/report_golden.json: pinned `qassert run` report output
+and `qassert lower` text.
 
-Each case is one `qassert run` call on a tests/corpus/*.qac file, under
-one of five noise settings, as a table or as JSON, plain or with
-`--expect <all-zero data bits> --filtered`.  The fixture stores each
-case's argv, exit code and the sha256 of its stdout; the full text would
-be some 176 KB.  Circuit paths are relative to the repository root, as
-the `# circuit:` line and the JSON `meta.circuit` field print them.
+Each case is one CLI call on a tests/corpus/*.qac file: `qassert lower`,
+or `qassert run` under one of five noise settings, as a table or as JSON,
+plain or with `--expect <all-zero data bits> --filtered`.  The fixture
+stores each case's argv, exit code and the sha256 of its stdout; the full
+text would be some 177 KB.  Circuit paths are relative to the repository
+root, as the `# circuit:` line and the JSON `meta.circuit` field print
+them.
 
 Usage, from the repository root:
 
@@ -58,6 +60,7 @@ def case_argvs() -> list[list[str]]:
         # Lowering adds one creg per assertion label; the rest are data cregs.
         data_bits = len(lowered.creg_names) - len(lowered.assertion_labels)
         expect = ("--expect", "0" * data_bits, "--filtered")
+        argvs.append(["lower", str(CORPUS / path.name)])
         for noise in NOISE:
             for fmt in ("table", "json"):
                 for extra in ((), expect):

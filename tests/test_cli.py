@@ -149,11 +149,12 @@ class TestRun:
         assert "--depolarizing requires --noise-gate-p" in capsys.readouterr().err
 
     def test_report_golden(self, monkeypatch):
-        # Recorded while RunStatistics still stored its fail counts; every
-        # report must still come out byte for byte as it did then.
+        # The run reports were recorded while RunStatistics still stored its
+        # fail counts; every report, and every lowered corpus file, must
+        # still come out byte for byte as it did then.
         monkeypatch.chdir(ROOT)
         cases = json.loads(REPORT_FIXTURE.read_text(encoding="utf-8"))
-        assert len(cases) == 240
+        assert len(cases) == 252
         for case in cases:
             code, out = run_cli(case["argv"])
             assert (code, digest(out)) == (case["exit"], case["sha256"]), (

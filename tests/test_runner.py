@@ -4,12 +4,14 @@ import dataclasses
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qassert import (
     Circuit,
     InvariantViolationError,
     NoiseModel,
+    RngStream,
     RunStatistics,
     StateVector,
     apply_gate,
@@ -217,6 +219,35 @@ def test_one_shots_rule(entry, shots):
     assert str(info.value) == f"shots must be a non-negative integer, got {shots!r}"
 
 
+# Each random-stream argument, as "<entry point> <argument>": a call with
+# that argument set to a value.
+STREAM_ARGS = {
+    "run_shots master_seed": lambda c, v: run_shots(c, 4, v),
+    "run_shots shot_offset": lambda c, v: run_shots(c, 4, 1, shot_offset=v),
+    "run_single master_seed": lambda c, v: run_single(c, v)[0],
+    "run_single shot_index": lambda c, v: run_single(c, 1, shot_index=v)[0],
+    "sample_measurements master_seed": lambda c, v: sample_measurements(ket("+"), 0, 4, v),
+    "sample_measurements shot_offset":
+        lambda c, v: sample_measurements(ket("+"), 0, 4, 1, shot_offset=v),
+}
+THREE_COINS = "qubits 3\nh 0\nh 1\nh 2\nmeasure 0 -> a\nmeasure 1 -> b\nmeasure 2 -> c\n"
+
+
+@pytest.mark.parametrize("value", [1.5, True, "7", None])
+@pytest.mark.parametrize("arg", STREAM_ARGS)
+def test_one_stream_rule(arg, value):
+    with pytest.raises(ValueError) as info:
+        STREAM_ARGS[arg](parse(THREE_COINS), value)
+    assert str(info.value) == f"{arg.split()[1]} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("arg", STREAM_ARGS)
+def test_stream_args_are_integers_mod_2_64(arg):
+    # A numpy integer runs as its value, and a negative one mod 2**64.
+    call, circuit = STREAM_ARGS[arg], parse(THREE_COINS)
+    assert call(circuit, np.int64(-3)) == call(circuit, -3) == call(circuit, 2**64 - 3)
+
+
 class TestRunSingle:
     def test_record_covers_all_cregs_and_labels(self):
         record, state = run_single(lowered(BELL_SOURCE), 0)
@@ -318,6 +349,20 @@ class TestLiveness:
             assert runner._ShotProgram(circuit, MODELS[model]).peak_width == peak
 
 
+def record_kernels(monkeypatch) -> list:
+    """The list that every gate kernel the runner applies from now on is
+    appended to, in order."""
+    applied = []
+    apply = runner._apply_gate_inplace
+
+    def counting(amps, gate):
+        applied.append(gate)
+        apply(amps, gate)
+
+    monkeypatch.setattr(runner, "_apply_gate_inplace", counting)
+    return applied
+
+
 class TestOutcomeTree:
     """run_shots walks a block of shots down one outcome tree; every shot
     must still come out as it does when run alone."""
@@ -361,36 +406,59 @@ class TestOutcomeTree:
         # the only kernels.  Under gate noise nothing is deferred.
         circuit = lowered(BELL_SOURCE)
         if model == "gate":
-            assert runner._ShotProgram(circuit, MODELS[model]).segments == BELL_NOISY_SEGMENTS
+            assert runner._ShotProgram(circuit, MODELS[model]).steps == BELL_NOISY_STEPS
             return
-        applied = []
-
-        def counting(amps, gate):
-            applied.append(gate)
-            apply(amps, gate)
-
-        apply = runner._apply_gate_inplace
-        monkeypatch.setattr(runner, "_apply_gate_inplace", counting)
+        applied = record_kernels(monkeypatch)
         stats = run_shots(circuit, 1000, 3, MODELS[model])
         assert sum(stats.counts.values()) == 1000
         assert applied == [h(0), cnot(0, 1)]
 
+    # A shot's record is fixed at its last measurement, so the h, cnot and s
+    # after it run only in run_single: in no noise model do they cost
+    # run_shots a kernel per leaf or a draw.
+    RECORDED = "qubits 4\nh 0\nh 1\nh 2\nmeasure 0 -> a\nmeasure 1 -> b\nmeasure 2 -> c\n"
+    TAIL = "h 3\ncnot 3 2\ns 3\n"
+
+    def test_gates_after_last_measurement_do_not_run(self, monkeypatch):
+        applied = record_kernels(monkeypatch)
+        circuit = parse(self.RECORDED + self.TAIL)
+        assert sum(run_shots(circuit, 1000, 4).counts.values()) == 1000
+        assert applied == [h(0), h(1), h(2)]
+        applied.clear()
+        assert len(exact_distribution(circuit)) == 8
+        assert applied == [h(0), h(1), h(2)]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_tail_draws_nothing(self, model, monkeypatch):
+        draws = []
+
+        def counting(rng):
+            draws.append(None)
+            return next_float(rng)
+
+        next_float = RngStream.next_float
+        monkeypatch.setattr(RngStream, "next_float", counting)
+
+        def run(source):
+            draws.clear()
+            counts = run_shots(parse(source), 1000, 4, MODELS[model]).counts
+            return counts, len(draws)
+
+        assert run(self.RECORDED + self.TAIL) == run(self.RECORDED)
+
 
 # Bell + assert_entangled under gate noise: every qubit is allocated before
 # its first gate, a noise site follows each touched qubit, and the ancilla
-# (position 2) is measured as a qubit.
-BELL_NOISY_SEGMENTS = (
-    ((("a", None), ("g", h(0))), ("n", 0)),
-    ((("a", None), ("g", cnot(0, 1))), ("n", 0)),
-    ((), ("n", 1)),
-    ((("a", None), ("g", cnot(0, 2))), ("n", 0)),
-    ((), ("n", 2)),
-    ((("g", cnot(1, 2)),), ("n", 1)),
-    ((), ("n", 2)),
-    ((), ("m", 2, 0)),
-    ((), ("m", 0, 1)),
-    ((), ("m", 0, 2)),
-    ((), None),
+# (position 2) is measured as a qubit.  The program ends by bringing each
+# logical qubit back at its projected bit: qubit 0 at slot 1, qubit 1 at
+# slot 2 and the ancilla at slot 0.
+BELL_NOISY_STEPS = (
+    ("a", None), ("g", h(0)), ("n", 0),
+    ("a", None), ("g", cnot(0, 1)), ("n", 0), ("n", 1),
+    ("a", None), ("g", cnot(0, 2)), ("n", 0), ("n", 2),
+    ("g", cnot(1, 2)), ("n", 1), ("n", 2),
+    ("m", 2, 0), ("m", 0, 1), ("m", 0, 2),
+    ("a", 1), ("a", 2), ("a", 0),
 )
 
 
@@ -533,8 +601,9 @@ class TestExactDistribution:
         monkeypatch.setattr(runner, "_apply_gate_inplace", drifting)
         # The second circuit's only branch step is the ancilla's parity step.
         parity_only = lowered("qubits 1\nx 0\nassert_classical 0 == 1 label c\n")
-        steps = [step for _, step in runner._ShotProgram(parity_only, None).segments]
-        assert [step and step[0] for step in steps] == ["p", None]
+        program = runner._ShotProgram(parity_only, None)
+        branch_kinds = [step[0] for step in program.steps if step[0] in "mpn"]
+        assert branch_kinds == ["p"]
         with pytest.raises(InvariantViolationError, match="norm drifted"):
             exact_distribution(lowered(BELL_SOURCE))
         for run in (exact_distribution, lambda circuit: run_shots(circuit, 10, 0)):
