@@ -23,20 +23,25 @@ Three checks are provided:
 
 The oracles below predict the ancilla statistics and the post-measurement
 target state analytically, straight from the input amplitudes; tests pit
-them against gate-level simulation of the same gadgets.  Without gate noise
-the executor measures the classical and entanglement ancillas as a parity
-of their targets and never allocates them (see `qassert.runner`).
+them against gate-level simulation of the same gadgets.  They load the
+simulator when first called, so building and lowering gadgets does not.
+Without gate noise the executor measures the classical and entanglement
+ancillas as a parity of their targets and never allocates them (see
+`qassert.runner`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .gates import Gate, _check_qubits, cnot, h
 
-from .measurement import BRANCH_PROBABILITY_FLOOR
-from .state import Gate, StateVector, _check_qubits, apply_gate, cnot, h, ket, tensor
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .state import StateVector
 
 ANCILLA = -1
 """Placeholder operand marking the gadget's ancilla before it has an index."""
@@ -150,6 +155,8 @@ def apply_gadget(state: StateVector, gadget: AssertionGadget) -> StateVector:
     The ancilla becomes qubit ``state.num_qubits`` of the returned joint
     pre-measurement state; measuring it (1 = error) completes the check.
     """
+    from .state import apply_gate, ket, tensor
+
     anc = state.num_qubits
     joint = tensor(state, ket("1" if gadget.ancilla_init else "0"))
     for gate in gadget.bind(anc):
@@ -159,6 +166,8 @@ def apply_gadget(state: StateVector, gadget: AssertionGadget) -> StateVector:
 
 def _error_mask(spec: AssertionSpec, num_qubits: int) -> np.ndarray:
     """Boolean mask over basis indices whose components trip the assertion."""
+    import numpy as np
+
     idx = np.arange(1 << num_qubits)
     if spec.kind is AssertionKind.CLASSICAL_EQUALS:
         return ((idx >> spec.targets[0]) & 1) != spec.expected
@@ -180,6 +189,8 @@ def predicted_error_probability(spec: AssertionSpec, state: StateVector) -> floa
     |a - b|^2 / (|a + b|^2 + |a - b|^2), which is half the weight of the
     difference between the target's 0- and 1-branches.
     """
+    import numpy as np
+
     _check_qubits(state.num_qubits, spec.targets, "assertion target")
     amps = state.amps
     if spec.kind is AssertionKind.UNIFORM_SUPERPOSITION:
@@ -197,6 +208,11 @@ def predicted_pass_state(spec: AssertionSpec, state: StateVector) -> StateVector
     Spectator qubits ride along unchanged.  Returns None when the pass
     branch carries probability below BRANCH_PROBABILITY_FLOOR.
     """
+    import numpy as np
+
+    from .measurement import BRANCH_PROBABILITY_FLOOR
+    from .state import StateVector
+
     _check_qubits(state.num_qubits, spec.targets, "assertion target")
     if spec.kind is AssertionKind.UNIFORM_SUPERPOSITION:
         q = spec.targets[0]

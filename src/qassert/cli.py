@@ -1,7 +1,8 @@
 """Command-line interface: qassert run / lower / check.
 
-Exit codes: 0 success, 1 usage or parse error, 2 internal invariant
-violation.
+Only `run` loads the simulator; `check` and `lower` need the circuit layer
+alone.  Exit codes: 0 success, 1 usage or parse error, 2 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -10,16 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .lang import (
-    ParseError,
-    _split_cregs,
-    lower_assertions,
-    parse,
-    pretty_print,
-)
-from .noise import NoiseModel
-from .runner import compute_filter_report, render_report, run_shots
-from .state import InvariantViolationError
+from .gates import InvariantViolationError
+from .lang import ParseError, _split_cregs, lower_assertions, parse, pretty_print
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,22 +101,21 @@ def _cmd_lower(args) -> int:
     return EXIT_OK
 
 
-def _noise_model(args) -> NoiseModel | None:
-    if args.noise_gate_p is None and args.noise_readout_p is None and not args.depolarizing:
-        return None
-    return NoiseModel(
-        gate_flip_p=args.noise_gate_p or 0.0,
-        readout_flip_p=args.noise_readout_p or 0.0,
-        depolarizing=args.depolarizing,
-    )
-
-
 def _cmd_run(args) -> int:
+    from . import runner
+    from .noise import NoiseModel
+
     circuit = _load_circuit(args.file)
     if circuit is None:
         return EXIT_USAGE
     lowered = lower_assertions(circuit)
-    model = _noise_model(args)
+    model = None
+    if args.noise_gate_p is not None or args.noise_readout_p is not None or args.depolarizing:
+        model = NoiseModel(
+            gate_flip_p=args.noise_gate_p or 0.0,
+            readout_flip_p=args.noise_readout_p or 0.0,
+            depolarizing=args.depolarizing,
+        )
 
     data_pos, _ = _split_cregs(lowered.creg_names)
     data_cregs = tuple(lowered.creg_names[i] for i in data_pos)
@@ -144,11 +136,11 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    stats = run_shots(lowered, args.shots, args.seed, model)
+    stats = runner.run_shots(lowered, args.shots, args.seed, model)
     report = None
     if args.filtered:
         accepted = set(args.expect)
-        report = compute_filter_report(stats, lambda data: data in accepted)
+        report = runner.compute_filter_report(stats, lambda data: data in accepted)
     meta = {
         "circuit": args.file,
         "shots": args.shots,
@@ -160,7 +152,7 @@ def _cmd_run(args) -> int:
             else "none"
         ),
     }
-    out = render_report(
+    out = runner.render_report(
         stats,
         report,
         format=args.format,

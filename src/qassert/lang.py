@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .assertions import AssertionKind, AssertionSpec, build_gadget
-from .state import GATE_ARITY, MAX_QUBITS, Gate, _check_num_qubits, _check_qubits, x
+from .gates import GATE_ARITY, MAX_QUBITS, Gate, _check_num_qubits, _check_qubits, x
 
 ASSERT_CREG_PREFIX = "__assert_"
 

@@ -11,15 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .state import (
-    InvariantViolationError,
-    StateVector,
-    _branch_probabilities,
-    _check_qubits,
-    _checked_probabilities,
-    _is_index,
-    _project,
-)
+from .gates import InvariantViolationError, _check_qubits, _is_index
+from .state import StateVector, _branch_probabilities, _checked_probabilities, _project
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
 
@@ -41,11 +34,14 @@ class RngStream:
     The same seed always yields the same sample sequence.  Per-shot
     streams come from :meth:`for_shot`, which mixes (master_seed,
     shot_index), so shots are reproducible regardless of execution order.
+    Seeds and indices follow the integer rule of `_check_stream_args`.
     """
 
     __slots__ = ("seed", "_counter")
 
     def __init__(self, seed: int):
+        if type(seed) is not int:
+            (seed,) = _check_stream_args(seed=seed)
         self.seed = seed & _MASK64
         self._counter = self.seed
 
@@ -59,6 +55,9 @@ class RngStream:
 
     @classmethod
     def for_shot(cls, master_seed: int, shot_index: int) -> RngStream:
+        if type(master_seed) is not int or type(shot_index) is not int:
+            master_seed, shot_index = _check_stream_args(master_seed=master_seed,
+                                                         shot_index=shot_index)
         return cls(_mix64((master_seed & _MASK64) ^ _mix64(shot_index)))
 
     def __repr__(self) -> str:

@@ -17,8 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from .gates import Gate, _check_qubits
 from .measurement import RngStream
-from .state import Gate, StateVector, _apply_gate_inplace, _check_qubits
+from .state import StateVector, _apply_gate_inplace
 
 
 @dataclass(frozen=True)
@@ -30,8 +33,12 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("gate_flip_p", "readout_flip_p"):
             p = getattr(self, name)
+            if type(p) is bool or not isinstance(p, (int, float, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
+        if type(self.depolarizing) is not bool:
+            raise ValueError(f"depolarizing must be a bool, got {self.depolarizing!r}")
 
 
 def _draw_pauli(model: NoiseModel, rng: RngStream) -> str | None:

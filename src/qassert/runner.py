@@ -51,8 +51,8 @@ from .lang import Circuit, GateInstr, _split_cregs
 from .measurement import (BRANCH_PROBABILITY_FLOOR, RngStream, _check_branch,
                           _check_shots, _check_stream_args, _draw_outcome)
 from .noise import NoiseModel, _draw_pauli, apply_readout_noise
+from .gates import Gate
 from .state import (
-    Gate,
     StateVector,
     _alloc_qubit,
     _apply_gate_inplace,

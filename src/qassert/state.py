@@ -1,7 +1,7 @@
-"""Dense statevector core: states, gates, unitary gate application, and
-every qubit-axis primitive (branch weights, projection, dropping a qubit
-and tensoring one in, and the same weights and projection for the parity
-of several qubits) with the checks on qubit indices and qubit counts.
+"""Dense statevector core: states, unitary gate application, and every
+qubit-axis primitive (branch weights, projection, dropping a qubit and
+tensoring one in, and the same weights and projection for the parity of
+several qubits).  The gates and the index checks are in :mod:`qassert.gates`.
 
 Bit convention
 --------------
@@ -16,82 +16,13 @@ Global phase is never canonicalized; compare states with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-MAX_QUBITS = 24
+from .gates import Gate, InvariantViolationError, _check_num_qubits, _check_qubits, _is_index
+
 NORM_TOLERANCE = 1e-10
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-GATE_ARITY = {"h": 1, "x": 1, "y": 1, "z": 1, "s": 1, "cnot": 2}
-
-
-class InvariantViolationError(RuntimeError):
-    """An internal simulator invariant (normalization, finiteness) broke."""
-
-
-@dataclass(frozen=True)
-class Gate:
-    """A named gate with concrete qubit operands (control first for cnot)."""
-
-    name: str
-    qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        arity = GATE_ARITY.get(self.name)
-        if arity is None:
-            raise ValueError(f"unknown gate {self.name!r}")
-        if len(self.qubits) != arity:
-            raise ValueError(
-                f"{self.name} expects {arity} operand(s), got {len(self.qubits)}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.name} operands must be distinct: {self.qubits}")
-
-
-def h(q: int) -> Gate:
-    return Gate("h", (q,))
-
-
-def x(q: int) -> Gate:
-    return Gate("x", (q,))
-
-
-def y(q: int) -> Gate:
-    return Gate("y", (q,))
-
-
-def z(q: int) -> Gate:
-    return Gate("z", (q,))
-
-
-def s(q: int) -> Gate:
-    return Gate("s", (q,))
-
-
-def cnot(control: int, target: int) -> Gate:
-    return Gate("cnot", (control, target))
-
-
-def _check_num_qubits(n) -> None:
-    if type(n) is not int or not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {n!r}")
-
-
-def _is_index(value) -> bool:
-    """The integer rule for indices and bits: an int or a numpy integer, not a bool."""
-    return type(value) is int or isinstance(value, np.integer)
-
-
-def _check_qubits(n: int, qubits, what: str = "qubit", of: str = "state") -> None:
-    """Reject any of `qubits` that is not an integer index into an `n`-qubit `of`."""
-    for q in qubits:
-        if not _is_index(q):
-            raise ValueError(f"{what} index must be an integer, got {q!r}")
-        if not 0 <= q < n:
-            raise ValueError(f"{what} {q} out of range for {n}-qubit {of}")
 
 
 class StateVector:

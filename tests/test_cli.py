@@ -199,11 +199,11 @@ class TestUsage:
 
 def test_internal_invariant_violation_exits_two(bell_file, capsys, monkeypatch):
     from qassert import InvariantViolationError
-    import qassert.cli as cli_mod
+    import qassert.runner as runner_mod
 
     def boom(*args, **kwargs):
         raise InvariantViolationError("norm drifted")
 
-    monkeypatch.setattr(cli_mod, "run_shots", boom)
+    monkeypatch.setattr(runner_mod, "run_shots", boom)
     assert main(["run", bell_file, "--shots", "10", "--seed", "0"]) == 2
     assert "internal error" in capsys.readouterr().err

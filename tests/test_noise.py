@@ -27,6 +27,25 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             NoiseModel(readout_flip_p=p)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("gate_flip_p", None, "must be a real number"),
+        ("gate_flip_p", "0.1", "must be a real number"),
+        ("gate_flip_p", True, "must be a real number"),
+        ("readout_flip_p", False, "must be a real number"),
+        ("readout_flip_p", 1 + 0j, "must be a real number"),
+        ("readout_flip_p", float("nan"), "must be in \\[0, 1\\]"),
+        ("depolarizing", "no", "must be a bool"),
+        ("depolarizing", 0, "must be a bool"),
+        ("depolarizing", None, "must be a bool"),
+    ])
+    def test_argument_rules(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} {message}, got "):
+            NoiseModel(**{field: value})
+
+    @pytest.mark.parametrize("p", [0, 1, 0.5, np.float64(0.25), np.float32(0.5)])
+    def test_real_probabilities_accepted(self, p):
+        assert NoiseModel(gate_flip_p=p, readout_flip_p=p).gate_flip_p == p
+
     def test_defaults_are_noiseless(self):
         model = NoiseModel()
         assert model.gate_flip_p == 0.0 and model.readout_flip_p == 0.0

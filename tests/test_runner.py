@@ -229,6 +229,9 @@ STREAM_ARGS = {
     "sample_measurements master_seed": lambda c, v: sample_measurements(ket("+"), 0, 4, v),
     "sample_measurements shot_offset":
         lambda c, v: sample_measurements(ket("+"), 0, 4, 1, shot_offset=v),
+    "RngStream seed": lambda c, v: RngStream(v).next_u64(),
+    "RngStream.for_shot master_seed": lambda c, v: RngStream.for_shot(v, 0).next_u64(),
+    "RngStream.for_shot shot_index": lambda c, v: RngStream.for_shot(1, v).next_u64(),
 }
 THREE_COINS = "qubits 3\nh 0\nh 1\nh 2\nmeasure 0 -> a\nmeasure 1 -> b\nmeasure 2 -> c\n"
 
