@@ -358,11 +358,8 @@ def lower_assertions(circuit: Circuit) -> Circuit:
     unchanged when there is nothing to lower.
 
     Each ancilla widens the declared register, which MAX_QUBITS bounds,
-    but not the simulated state: the shot executor allocates a qubit at
-    its first use and drops it at every measurement, until a later use
-    brings it back, so the state width is the peak number of live qubits.
-    Assertions that run one after another cost one extra qubit at peak,
-    not one each.
+    but not necessarily the simulated state: :mod:`qassert.runner` holds
+    only the live qubits, and says what an ancilla costs it.
     """
     if not circuit.has_assertions():
         return circuit

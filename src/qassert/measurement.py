@@ -105,8 +105,7 @@ def measure(
     outcome = _draw_outcome(probs[1], rng)
     branch = probs[outcome]
     _check_branch(branch)
-    amps = state.amps.copy()
-    _project(amps, q, outcome, branch)
+    amps = _project(state.amps, q, outcome, branch)
     record = MeasurementRecord(qubit=q, outcome=outcome, probability_of_outcome=branch)
     return record, StateVector(state.num_qubits, amps, copy=False)
 
@@ -160,6 +159,4 @@ def postselect(state: StateVector, q: int, bit: int) -> StateVector | None:
     branch = probs[bit]
     if branch < BRANCH_PROBABILITY_FLOOR:
         return None
-    amps = state.amps.copy()
-    _project(amps, q, bit, branch)
-    return StateVector(state.num_qubits, amps, copy=False)
+    return StateVector(state.num_qubits, _project(state.amps, q, bit, branch), copy=False)

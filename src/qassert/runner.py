@@ -91,12 +91,27 @@ class RunStatistics:
 
     The creg ``__assert_<label>`` holds assertion <label> (1 = fail), so
     assertion_labels and assertion_fail_counts are read off those cregs,
-    in creg order.
+    in creg order.  The table must agree with itself: total_shots is a
+    non-negative int, every key a bitstring with one bit per creg, every
+    count a non-negative int, and the counts sum to total_shots.
     """
 
     total_shots: int
     creg_names: tuple[str, ...]
     counts: dict[str, int]
+
+    def __post_init__(self):
+        total, width = self.total_shots, len(self.creg_names)
+        if type(total) is not int or total < 0:
+            raise ValueError(f"total_shots must be a non-negative int, got {total!r}")
+        for key, count in self.counts.items():
+            if not isinstance(key, str) or len(key) != width or key.strip("01"):
+                raise ValueError(f"count key {key!r} is not a bitstring of {width} creg bits")
+            if type(count) is not int or count < 0:
+                raise ValueError(f"count of {key!r} must be a non-negative int, got {count!r}")
+        if sum(self.counts.values()) != total:
+            raise ValueError(
+                f"counts sum to {sum(self.counts.values())}, not total_shots = {total}")
 
     @property
     def assertion_labels(self) -> tuple[str, ...]:
@@ -134,9 +149,9 @@ class FilterReport:
     kept_fraction: float
 
 
-def _bit(projected, slot) -> int:
+def _bit(projected: int, slot) -> int:
     """The projected bit of creg slot `slot`; 0 for a qubit never measured (None)."""
-    return 0 if slot is None else projected[slot]
+    return 0 if slot is None else projected >> slot & 1
 
 
 def _partition(group: list, keys: list) -> dict:
@@ -149,26 +164,23 @@ def _partition(group: list, keys: list) -> dict:
     return parts
 
 
-def _enter(amps, projected, step, event, copy: bool):
-    """The state of the branch that took `event` at branch step `step`.
+def _enter(amps, projected: int, step, event, copy: bool):
+    """The state and projected bits of the branch that took `event` at
+    branch step `step`.
 
-    With `copy` the branch gets its own projected bits and, at a noise
-    site or a parity step, its own array: a branch walked before the last
-    copies even when no Pauli fired, since its later in-place steps would
-    otherwise corrupt the last branch's state.  A measurement drops its
-    qubit into a new array, so it never writes into the parent's.
+    A measurement branch owns its state: a new array, with its qubit
+    dropped ("m") or its parity class projected ("p"), and new projected
+    bits with its outcome set.  Only a noise site's branch keeps the
+    parent's array, and with `copy` it copies it first: a branch walked
+    before the last copies even when no Pauli fired, since its later
+    in-place steps would otherwise corrupt the last branch's state.
     """
-    if copy:
-        projected = projected.copy()
     if step[0] != "n":
-        projected[step[2]] = event[0]
-        if step[0] == "m":
-            return _drop_qubit(amps, step[1], *event), projected
+        enter = _drop_qubit if step[0] == "m" else _project
+        return enter(amps, step[1], *event), projected | event[0] << step[2]
     if copy:
         amps = amps.copy()
-    if step[0] == "p":
-        _project(amps, step[1], *event)
-    elif event is not None:
+    if event is not None:
         _apply_gate_inplace(amps, Gate(event, (step[1],)))
     return amps, projected
 
@@ -215,9 +227,10 @@ class _ShotProgram:
     run once per tree node.  At a branch step a split rule lists the
     branches taken as (event, payload): the event is (outcome, its
     probability) or the Pauli that fired (or None).  Each measurement
-    branch drops its qubit into a new array.  At a noise site or a parity
-    step the last branch keeps the parent's array and is walked last;
-    every other branch copies it when it is walked.
+    branch builds its own array and projected bits (`_enter`), so no
+    measurement writes into its parent's.  At a noise site the last branch
+    keeps the parent's array and is walked last; every other branch
+    copies it when it is walked.
 
     The shot rule, `split_shots`, carries a group of shots.  Every shot
     draws from its own stream, exactly as a lone shot would, and the group
@@ -320,11 +333,12 @@ class _ShotProgram:
     def walk(self, payload, split: Callable, end: int):
         """Run `steps[:end]` from `payload` at the root, taking at each
         branch step the branches `split(amps, step, payload)` lists.  Yields
-        (final state, projected bits, payload) once per leaf; projected bits
-        are the measurement outcomes before readout noise, by creg slot."""
+        (final state, projected bits, payload) once per leaf.  The projected
+        bits are an int whose bit i is the outcome, before readout noise, of
+        the measurement of creg slot i; a branch never changes its parent's
+        bits, and only at a noise site does it share its parent's array."""
         steps = self.steps
-        projected = [0] * len(self.creg_names)
-        stack = [(0, np.ones(1, dtype=np.complex128), projected, payload, None, None, False)]
+        stack = [(0, np.ones(1, dtype=np.complex128), 0, payload, None, None, False)]
         while stack:
             k, amps, projected, payload, step, event, copy = stack.pop()
             if step is not None:
@@ -458,8 +472,9 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
         return branches
 
     program = _ShotProgram(circuit, None)
+    slots = range(len(program.creg_names))
     leaves = program.walk(1.0, split, program.recorded)
-    return {"".join("01"[b] for b in bits): prob for _, bits, prob in leaves}
+    return {"".join("01"[bits >> i & 1] for i in slots): prob for _, bits, prob in leaves}
 
 
 def _rows(stats: RunStatistics) -> Iterator[tuple[str, int, str, list[str]]]:

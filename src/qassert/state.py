@@ -69,11 +69,14 @@ def new_basis_state(num_qubits: int, basis_index: int = 0) -> StateVector:
 
 
 def from_amplitudes(amps, *, normalize: bool = False) -> StateVector:
-    """Build a state from a full amplitude array (length must be a power of two)."""
+    """Build a state from a full amplitude array (length must be a power of
+    two, every amplitude finite)."""
     arr = np.asarray(amps, dtype=np.complex128)
     size = arr.size
     if size < 2 or size & (size - 1):
         raise ValueError(f"amplitude count must be a power of two >= 2, got {size}")
+    if not np.isfinite(arr).all():
+        raise ValueError("amplitudes must be finite")
     if normalize:
         norm = np.linalg.norm(arr)
         if norm == 0.0:
@@ -141,7 +144,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     amps = state.amps.copy()
     _apply_gate_inplace(amps, gate)
     norm_sq = float(np.sum(amps.real**2 + amps.imag**2))
-    if abs(norm_sq - 1.0) > NORM_TOLERANCE:
+    if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:
         raise InvariantViolationError(
             f"gate {gate.name} broke normalization: sum |amp|^2 = {norm_sq!r}"
         )
@@ -235,21 +238,22 @@ def _checked_probabilities(amps: np.ndarray, q) -> tuple[float, float]:
         p0, p1 = float(weights.sum(where=~q)), float(weights.sum(where=q))
     else:
         p0, p1 = _branch_probabilities(amps, q)
-    if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
+    if not abs(p0 + p1 - 1.0) <= NORM_TOLERANCE:
         raise InvariantViolationError(
             f"state norm drifted before measurement: sum |amp|^2 = {p0 + p1!r}"
         )
     return p0, p1
 
 
-def _project(amps: np.ndarray, q, bit: int, branch: float) -> None:
-    """Project amps in place onto qubit q, or the parity class q, reading
-    `bit`, and renormalize by that branch's probability `branch`."""
+def _project(amps: np.ndarray, q, bit: int, branch: float) -> np.ndarray:
+    """New state: amps projected onto qubit q, or the parity class q,
+    reading `bit`, and renormalized by that branch's probability `branch`."""
+    out = amps * (1.0 / np.sqrt(branch))
     if isinstance(q, np.ndarray):
-        amps[q != bit] = 0.0
+        out[q != bit] = 0.0
     else:
-        amps.reshape(-1, 2, 1 << q)[:, 1 - bit, :] = 0.0
-    amps *= 1.0 / np.sqrt(branch)
+        out.reshape(-1, 2, 1 << q)[:, 1 - bit, :] = 0.0
+    return out
 
 
 def _drop_qubit(amps: np.ndarray, q: int, bit: int, branch: float) -> np.ndarray:

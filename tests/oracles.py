@@ -87,6 +87,61 @@ def brute_force_distribution(circuit) -> dict[str, float]:
     return dist
 
 
+def density_matrix_distribution(circuit, model=None) -> dict[str, float]:
+    """Exact outcome distribution over creg bitstrings of a lowered circuit
+    under `model`'s noise, with no trajectories and no random draws.
+
+    The density matrix evolves by each gate's unitary.  After a gate, each
+    touched qubit goes through its Pauli channel: X with probability p, or
+    each of X, Y and Z with p/3 under depolarizing noise.  A measurement
+    branches on its projectors, each branch weighted by its trace.  Readout
+    flips are convolved into the distribution at the end, one independent
+    flip per creg bit.
+    """
+    from qassert import AssertInstr, GateInstr
+
+    n = circuit.num_qubits
+    gate_p, readout_p = (model.gate_flip_p, model.readout_flip_p) if model else (0.0, 0.0)
+    paulis = ("x", "y", "z") if model and model.depolarizing else ("x",)
+    creg_names = list(circuit.creg_names)
+    dist: dict[tuple, float] = {}
+
+    def conjugate(op, rho):
+        return op @ rho @ op.conj().T
+
+    def walk(rho: np.ndarray, instrs, assigned: dict[str, int], prob: float):
+        for pos, instr in enumerate(instrs):
+            if isinstance(instr, AssertInstr):
+                raise ValueError("density-matrix oracle needs a lowered circuit")
+            if isinstance(instr, GateInstr):
+                rho = conjugate(gate_unitary(instr.gate.name, instr.gate.qubits, n), rho)
+                for q in instr.gate.qubits if gate_p > 0.0 else ():
+                    errors = sum(conjugate(embed(_MATRICES[p], q, n), rho) for p in paulis)
+                    rho = (1.0 - gate_p) * rho + gate_p / len(paulis) * errors
+                continue
+            for outcome, proj in ((0, _P0), (1, _P1)):
+                branch = conjugate(embed(proj, instr.qubit, n), rho)
+                p = float(np.trace(branch).real)
+                if p < 1e-12:
+                    continue
+                walk(branch / p, instrs[pos + 1:], {**assigned, instr.creg: outcome}, prob * p)
+            return
+        key = tuple(assigned[c] for c in creg_names)
+        dist[key] = dist.get(key, 0.0) + prob
+
+    rho0 = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho0[0, 0] = 1.0
+    walk(rho0, list(circuit.instructions), {}, 1.0)
+    for i in range(len(creg_names) if readout_p > 0.0 else 0):
+        flipped: dict[tuple, float] = {}
+        for key, prob in dist.items():
+            for bit, weight in ((key[i], 1.0 - readout_p), (1 - key[i], readout_p)):
+                other = key[:i] + (bit,) + key[i + 1:]
+                flipped[other] = flipped.get(other, 0.0) + prob * weight
+        dist = flipped
+    return {"".join(map(str, key)): prob for key, prob in dist.items()}
+
+
 def projected_state(circuit, outcomes: dict[str, int]) -> np.ndarray:
     """Final state of a lowered circuit when each measurement reads the bit
     that `outcomes` gives for its creg; measured qubits stay projected."""

@@ -42,7 +42,7 @@ from qassert import (
 from qassert.cli import main as cli_main
 
 from helpers import binomial_4sigma, sv
-from oracles import brute_force_distribution, l1_distance
+from oracles import brute_force_distribution, density_matrix_distribution, l1_distance
 
 S2 = 1.0 / np.sqrt(2.0)
 N_SHOTS = 100_000
@@ -240,18 +240,42 @@ def test_criterion_5_published_table_arithmetic():
     _passed(5, "published table arithmetic")
 
 
+def _exact_filter_rates(dist, stats, accepted) -> tuple[float, float, float]:
+    """(raw error rate, filtered error rate, kept fraction) of an exact
+    distribution, read with the creg layout of `stats`."""
+    data_pos, assertion_pos = stats.data_positions(), stats.assertion_positions()
+    raw = kept = kept_errors = 0.0
+    for key, prob in dist.items():
+        error = "".join(key[i] for i in data_pos) not in accepted
+        passing = all(key[i] == "0" for i in assertion_pos)
+        raw += prob * error
+        kept += prob * passing
+        kept_errors += prob * (error and passing)
+    return raw, kept_errors / kept, kept
+
+
 def test_criterion_6_noise_filtering_direction():
     circuit = lower_assertions(parse(BELL_ASSERT_SOURCE))
     accepted = ("00", "11")
     for k, p in enumerate((0.01, 0.02, 0.05)):
-        stats = run_shots(circuit, N_SHOTS, master_seed=60 + k,
-                          model=NoiseModel(gate_flip_p=p))
+        model = NoiseModel(gate_flip_p=p)
+        stats = run_shots(circuit, N_SHOTS, master_seed=60 + k, model=model)
         report = compute_filter_report(stats, lambda d: d in accepted)
         assert report.filtered_error_rate is not None
         assert report.filtered_error_rate < report.raw_error_rate, (
             f"filtering did not help at gate_flip_p={p}: "
             f"raw={report.raw_error_rate}, filtered={report.filtered_error_rate}"
         )
+        # The sampled rates lie within 4 sigma of the density-matrix ones;
+        # the filtered rate is a frequency over the passing shots only.
+        raw, filtered, kept = _exact_filter_rates(
+            density_matrix_distribution(circuit, model), stats, accepted)
+        passing = round(report.kept_fraction * N_SHOTS)
+        for name, sampled, exact, n in (("raw", report.raw_error_rate, raw, N_SHOTS),
+                                        ("filtered", report.filtered_error_rate, filtered, passing),
+                                        ("kept", report.kept_fraction, kept, N_SHOTS)):
+            assert abs(sampled - exact) <= binomial_4sigma(exact, n), (
+                f"{name} rate at gate_flip_p={p}: sampled {sampled}, exact {exact}")
     _passed(6, "noise filtering direction")
 
 

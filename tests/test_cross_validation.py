@@ -19,7 +19,8 @@ from qassert import (
 )
 
 from helpers import binomial_4sigma
-from oracles import brute_force_distribution, l1_distance
+from make_liveness_golden import MODELS
+from oracles import brute_force_distribution, density_matrix_distribution, l1_distance
 
 GATES_1Q = ["h", "x", "y", "z", "s"]
 
@@ -97,6 +98,26 @@ def test_random_circuit_sampling_tracks_exact_distribution(case):
         assert abs(freq - p) < binomial_4sigma(p, shots) + 1e-9, (source, key)
     # No outcomes outside the analytic support.
     assert set(stats.counts) <= set(dist)
+
+
+def test_density_matrix_oracle_matches_exact_distribution(corpus_files):
+    for path in corpus_files:
+        circuit = lower_assertions(parse(path.read_text()))
+        distance = l1_distance(density_matrix_distribution(circuit), exact_distribution(circuit))
+        assert distance <= 1e-12, (path.name, distance)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_noisy_sampling_tracks_density_matrix(corpus_files, model):
+    shots = 1000
+    for index, path in enumerate(corpus_files):
+        circuit = lower_assertions(parse(path.read_text()))
+        dist = density_matrix_distribution(circuit, MODELS[model])
+        stats = run_shots(circuit, shots, 700 + index, MODELS[model])
+        for key, p in dist.items():
+            freq = stats.counts.get(key, 0) / shots
+            assert abs(freq - p) < binomial_4sigma(p, shots) + 1e-9, (path.name, key)
+        assert set(stats.counts) <= set(dist), path.name
 
 
 def test_parser_never_crashes_on_garbage():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -449,6 +450,26 @@ class TestOutcomeTree:
 
         assert run(self.RECORDED + self.TAIL) == run(self.RECORDED)
 
+    @pytest.mark.parametrize("kind", ["m", "p"])
+    def test_measurement_branch_owns_its_state(self, kind):
+        # The last branch of a measurement is entered without a copy; it
+        # must still leave its parent's array and projected bits as they are.
+        amps = np.arange(1, 9) * (1 + 2j)
+        amps /= np.linalg.norm(amps)
+        amps.setflags(write=False)
+        parent = amps.copy()
+        where = 1 if kind == "m" else runner._parity_class(8, (0, 2), 0)
+        probs = runner._checked_probabilities(amps, where)
+        projected = 0b101
+        for outcome in (0, 1):
+            step, event = (kind, where, 1), (outcome, probs[outcome])
+            branch, bits = runner._enter(amps, projected, step, event, False)
+            assert bits == 0b101 | outcome << 1
+            assert not np.shares_memory(branch, amps)
+            assert np.linalg.norm(branch) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(amps, parent)
+        assert projected == 0b101
+
 
 # Bell + assert_entangled under gate noise: every qubit is allocated before
 # its first gate, a noise site follows each touched qubit, and the ancilla
@@ -601,17 +622,23 @@ class TestExactDistribution:
             apply(amps, gate)
             amps *= 1.0 + 1e-6
 
-        monkeypatch.setattr(runner, "_apply_gate_inplace", drifting)
+        def writing_nan(amps, gate):
+            # NaN compares False with everything, so a drift test written
+            # as `drift > tolerance` lets it through.
+            apply(amps, gate)
+            amps[0] = np.nan
+
         # The second circuit's only branch step is the ancilla's parity step.
         parity_only = lowered("qubits 1\nx 0\nassert_classical 0 == 1 label c\n")
         program = runner._ShotProgram(parity_only, None)
         branch_kinds = [step[0] for step in program.steps if step[0] in "mpn"]
         assert branch_kinds == ["p"]
-        with pytest.raises(InvariantViolationError, match="norm drifted"):
-            exact_distribution(lowered(BELL_SOURCE))
-        for run in (exact_distribution, lambda circuit: run_shots(circuit, 10, 0)):
-            with pytest.raises(InvariantViolationError, match="norm drifted"):
-                run(parity_only)
+        for kernel in (drifting, writing_nan):
+            monkeypatch.setattr(runner, "_apply_gate_inplace", kernel)
+            for circuit in (lowered(BELL_SOURCE), parity_only):
+                for run in (exact_distribution, lambda circuit: run_shots(circuit, 10, 0)):
+                    with pytest.raises(InvariantViolationError, match="norm drifted"):
+                        run(circuit)
 
 
 def table1_stats() -> RunStatistics:
@@ -657,6 +684,24 @@ class TestRunStatistics:
         stats = RunStatistics(5, ("m",), {"0": 5})
         assert stats.assertion_labels == ()
         assert stats.assertion_fail_counts == {}
+
+    @pytest.mark.parametrize("total, counts, rule", [
+        (5, {"0": 1}, "counts sum to 1, not total_shots = 5"),
+        (1, {"0": 1, "1": 1}, "counts sum to 2, not total_shots = 1"),
+        (-1, {}, "total_shots must be a non-negative int"),
+        (True, {"0": 1}, "total_shots must be a non-negative int"),
+        (2.0, {"0": 2}, "total_shots must be a non-negative int"),
+        (2, {"01": 2}, "not a bitstring of 1 creg bits"),
+        (2, {"": 2}, "not a bitstring of 1 creg bits"),
+        (2, {"2": 2}, "not a bitstring of 1 creg bits"),
+        (2, {0: 2}, "not a bitstring of 1 creg bits"),
+        (2, {"0": 3, "1": -1}, "count of '1' must be a non-negative int"),
+        (2, {"0": 2.0}, "count of '0' must be a non-negative int"),
+        (1, {"0": True}, "count of '0' must be a non-negative int"),
+    ])
+    def test_count_table_agrees_with_itself(self, total, counts, rule):
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            RunStatistics(total, ("m",), counts)
 
 
 class TestFilterReport:

@@ -102,6 +102,14 @@ class TestConstruction:
         st = from_amplitudes([3.0, 4.0], normalize=True)
         np.testing.assert_allclose(st.amps, [0.6, 0.8], atol=1e-15)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("amps", [[np.nan, 1.0], [np.inf, 1.0], [1.0, complex(0.0, -np.inf)]])
+    def test_from_amplitudes_rejects_non_finite(self, amps, normalize):
+        # Caller input gets ValueError, checked before normalizing (which
+        # would warn on inf); InvariantViolationError is for internal results.
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            from_amplitudes(amps, normalize=normalize)
+
     def test_from_amplitudes_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             from_amplitudes([1.0, 0.0, 0.0])
