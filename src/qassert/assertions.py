@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .gates import Gate, _check_qubits, cnot, h
+from .gates import Gate, _check_qubits, _is_index, cnot, h
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,6 +60,8 @@ class AssertionSpec:
     `expected` is the asserted bit for CLASSICAL_EQUALS, the asserted
     parity for ENTANGLED (0 checks a|0...0> + b|1...1>, 1 the odd-parity
     analogue), and None for UNIFORM_SUPERPOSITION (always asserts |+>).
+    A bit follows the integer rule of qubit indices (an int or a numpy
+    integer, not a bool) and is stored as an int.
     """
 
     kind: AssertionKind
@@ -78,9 +80,11 @@ class AssertionSpec:
         if self.kind is AssertionKind.UNIFORM_SUPERPOSITION:
             if self.expected is not None:
                 raise ValueError("superposition assertion takes no expected value")
-        elif type(self.expected) is not int or self.expected not in (0, 1):
+        elif not _is_index(self.expected) or self.expected not in (0, 1):
             bit = "a parity" if entangled else "an expected"
             raise ValueError(f"{self.kind.value} assertion needs {bit} bit of 0 or 1")
+        else:
+            object.__setattr__(self, "expected", int(self.expected))
 
 
 @dataclass(frozen=True)

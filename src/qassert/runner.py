@@ -71,11 +71,6 @@ MAX_EXACT_BRANCHES = 1 << 16
 # alive; results do not depend on it.
 SHOT_BLOCK = 4096
 
-# The entry of a qubit never used: out of the state with no controls and no
-# flip, and it re-enters at |0>.
-_FRESH = (frozenset(), 0, None)
-
-
 @dataclass(frozen=True)
 class ShotRecord:
     """Classical bits of one shot: creg values plus pass/fail per assertion."""
@@ -189,20 +184,24 @@ class _ShotProgram:
     """A lowered circuit compiled once, under one noise model (None for
     `exact_distribution`), into the flat step list `walk` runs.
 
-    Compiling is one pass over the instructions.  Without gate noise it
-    defers a qubit out of the state while, since it last left the state,
-    it has taken only `x` and `cnot` as target: the compile holds such a
-    qubit as (its controls, whose cnots have not cancelled; a flip bit;
-    the creg slot of its last measurement, whose projected bit it
-    re-enters at, or None for |0>).  Its controls are live.  Its first
-    other use flushes it: the alloc, `x` and `cnot` steps it deferred
-    run then.  So does any use of one of its controls other than another
-    `cnot c q`, a measurement included, since a deferred gate commutes
-    only with what acts on other qubits.  Under gate noise nothing is
-    deferred, since noise sites draw in program order.  `steps` holds, on
-    physical positions:
-    - ("a", slot) tensors a qubit in as a new top position at the
-      projected bit of `slot` (|0> for None);
+    Compiling is one pass over the instructions.  It keeps every qubit
+    outside the state in one table, which starts with every declared
+    qubit and gains each measured one: an entry is (its controls, whose
+    cnots have not cancelled; a flip bit; the creg slot of its last
+    measurement, whose projected bit it re-enters at, or None for |0>).
+    Without gate noise a qubit waits there while it takes only `x` and
+    `cnot` as target, and its measurement reads the parity of its
+    controls, which are live.  Such a deferred instruction changes no
+    live qubit, so it flushes nothing but a control it needs brought in.
+    Any other instruction flushes each qubit it uses that is outside, and
+    each waiting qubit with a control it uses, since a deferred gate
+    commutes only with what acts on other qubits.  A flush brings a qubit
+    in with the alloc and `cnot` steps its entry holds.  Under gate noise
+    nothing is deferred, since noise sites draw in program order.  `steps`
+    holds, on physical positions:
+    - ("a", slot, flip) tensors a qubit in as a new top position at the
+      projected bit of `slot` (0 for None) XOR `flip`, so an `x` on a
+      waiting qubit costs no kernel;
     - ("g", gate on positions) runs a gate;
     - ("m", position, creg slot) measures a qubit and drops it: it leaves
       the state, and the qubits above it move down one position.  The
@@ -215,13 +214,11 @@ class _ShotProgram:
     - ("n", position), under gate noise only, is the noise site after a
       gate on each qubit the gate touches.
     Measurements and noise sites are the branch steps.  The last steps
-    flush every declared qubit not in the state: a dropped qubit at its
-    projected bit, an unused one at |0>, a deferred one with its `x` and
-    `cnot` steps.  `layout` is the logical qubit at each position after
-    them.  `recorded` is the index just past the last measurement; no
-    later step changes a recorded bit, so `run_shots` and
-    `exact_distribution` walk only `steps[:recorded]`, and `peak_width`
-    is the most qubits alive at once there.
+    flush every qubit still outside, in index order.  `layout` is the
+    logical qubit at each position after them.  `recorded` is the index
+    just past the last measurement; no later step changes a recorded bit,
+    so `run_shots` and `exact_distribution` walk only `steps[:recorded]`,
+    and `peak_width` is the most qubits alive at once there.
 
     `walk` runs the steps down their outcome tree.  Gate and alloc steps
     run once per tree node.  At a branch step a split rule lists the
@@ -254,33 +251,31 @@ class _ShotProgram:
         gate_noise = model is not None and model.gate_flip_p > 0.0
         self.readout_noise = model is not None and model.readout_flip_p > 0.0
         layout: list[int] = []
-        steps, outside = [], {}
+        steps, outside = [], dict.fromkeys(range(self.num_qubits), (frozenset(), 0, None))
         slot = peak = self.recorded = self.peak_width = 0
 
         def flush(q):
-            controls, flip, at = outside.pop(q, _FRESH)
+            controls, flip, at = outside.pop(q)
             layout.append(q)
             top = len(layout) - 1
-            steps.append(("a", at))
-            if flip:
-                steps.append(("g", Gate("x", (top,))))
+            steps.append(("a", at, flip))
             steps.extend(("g", Gate("cnot", (layout.index(c), top))) for c in sorted(controls))
 
         for instr in circuit.instructions:
             is_gate = isinstance(instr, GateInstr)
             qubits = instr.gate.qubits if is_gate else (instr.qubit,)
             q = qubits[-1]
-            defer = not gate_noise and q not in layout and (
+            defer = not gate_noise and q in outside and (
                 not is_gate or instr.gate.name in ("x", "cnot"))
-            for r in [r for r, entry in outside.items()
-                      if r != q and not entry[0].isdisjoint(qubits)]:
-                flush(r)
+            if not defer:
+                for r in [r for r, entry in outside.items() if not entry[0].isdisjoint(qubits)]:
+                    flush(r)
             for u in qubits:
-                if u not in layout and not (defer and u == q):
+                if u in outside and not (defer and u == q):
                     flush(u)
             peak = max(peak, len(layout))
             if defer:
-                controls, flip, at = outside.get(q, _FRESH)
+                controls, flip, at = outside[q]
                 if is_gate:
                     if instr.gate.name == "x":
                         flip ^= 1
@@ -301,9 +296,8 @@ class _ShotProgram:
             outside[q] = (frozenset(), 0, slot)
             slot += 1
             self.recorded, self.peak_width = len(steps), peak
-        for q in range(self.num_qubits):
-            if q not in layout:
-                flush(q)
+        for q in sorted(outside):
+            flush(q)
         self.steps, self.layout = tuple(steps), tuple(layout)
 
     def split_shots(self, amps, step, group) -> list:
@@ -350,7 +344,7 @@ class _ShotProgram:
                     _apply_gate_inplace(amps, step[1])
                     continue
                 if step[0] == "a":
-                    amps = _alloc_qubit(amps, _bit(projected, step[1]))
+                    amps = _alloc_qubit(amps, step[2] ^ _bit(projected, step[1]))
                     continue
                 if step[0] == "p":
                     _, positions, slot, flip, at = step

@@ -78,10 +78,16 @@ def from_amplitudes(amps, *, normalize: bool = False) -> StateVector:
     if not np.isfinite(arr).all():
         raise ValueError("amplitudes must be finite")
     if normalize:
-        norm = np.linalg.norm(arr)
-        if norm == 0.0:
+        # Scaling by the largest component first keeps the squares in the
+        # norm from overflowing near the float maximum or flushing a
+        # subnormal vector to zero.  Each part is divided as a real array:
+        # numpy divides a complex array by the reciprocal, which overflows
+        # for a subnormal scale.
+        scale = max(np.abs(arr.real).max(), np.abs(arr.imag).max())
+        if scale == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        arr = arr / norm
+        arr = arr.real / scale + 1j * (arr.imag / scale)
+        arr = arr / np.linalg.norm(arr)
     return StateVector(size.bit_length() - 1, arr)
 
 

@@ -111,6 +111,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="expected bit"):
             AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (0,), None)
 
+    @pytest.mark.parametrize("kind, targets", [
+        (AssertionKind.CLASSICAL_EQUALS, (0,)), (AssertionKind.ENTANGLED, (0, 1)),
+    ])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_numpy_bit_is_stored_as_int(self, kind, targets, bit):
+        spec = AssertionSpec(kind, targets, np.int64(bit))
+        assert type(spec.expected) is int
+        assert spec == AssertionSpec(kind, targets, bit)
+
+    # A bool is not a bit, though numpy integers are.
+    @pytest.mark.parametrize("bit", [True, np.True_, np.int64(2), 1.0])
+    def test_rejects_what_is_not_a_bit(self, bit):
+        with pytest.raises(ValueError, match="expected bit of 0 or 1"):
+            AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (0,), bit)
+        with pytest.raises(ValueError, match="parity bit of 0 or 1"):
+            AssertionSpec(AssertionKind.ENTANGLED, (0, 1), bit)
+
     def test_superposition_takes_no_expected(self):
         with pytest.raises(ValueError, match="no expected"):
             AssertionSpec(AssertionKind.UNIFORM_SUPERPOSITION, (0,), 0)

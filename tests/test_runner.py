@@ -72,6 +72,11 @@ x 5
 assert_entangled 6 2 parity 0 label e
 """
 
+# Without gate noise qubits 1 and 2 wait out of the state as partners of
+# qubit 0, and qubit 0 waits after its first measurement, taking an x.
+DEFERRED_PARTNERS = "qubits 3\nh 0\ncnot 0 1\ncnot 0 2\nmeasure 1 -> a\nmeasure 2 -> b\nmeasure 0 -> c\n"
+FLIP_FOLDS = "qubits 1\nh 0\nmeasure 0 -> a\nx 0\nh 0\nmeasure 0 -> b\n"
+
 # Each distinct fixture circuit once: the corpus files and the random ones.
 GOLDEN_SOURCES = {c["source"]: c["name"] for c in GOLDEN}
 
@@ -417,6 +422,21 @@ class TestOutcomeTree:
         assert sum(stats.counts.values()) == 1000
         assert applied == [h(0), cnot(0, 1)]
 
+    # A deferred gate acts on no live qubit, so it pulls no other waiting
+    # qubit in, and an x on a waiting qubit costs no kernel: it sets the
+    # bit the qubit re-enters at.  One shot runs every step once.
+    @pytest.mark.parametrize("model", ["none", "readout"])
+    @pytest.mark.parametrize("source, kernels", [
+        (DEFERRED_PARTNERS, [h(0)]),
+        (FLIP_FOLDS, [h(0), h(0)]),
+    ], ids=["partners-wait", "flip-folds"])
+    def test_waiting_qubits_cost_nothing(self, source, kernels, model, monkeypatch):
+        circuit = parse(source)
+        assert runner._ShotProgram(circuit, MODELS[model]).peak_width == 1
+        applied = record_kernels(monkeypatch)
+        run_single(circuit, 3, MODELS[model])
+        assert applied == kernels
+
     # A shot's record is fixed at its last measurement, so the h, cnot and s
     # after it run only in run_single: in no noise model do they cost
     # run_shots a kernel per leaf or a draw.
@@ -474,15 +494,15 @@ class TestOutcomeTree:
 # Bell + assert_entangled under gate noise: every qubit is allocated before
 # its first gate, a noise site follows each touched qubit, and the ancilla
 # (position 2) is measured as a qubit.  The program ends by bringing each
-# logical qubit back at its projected bit: qubit 0 at slot 1, qubit 1 at
-# slot 2 and the ancilla at slot 0.
+# logical qubit back at its projected bit, with no flip: qubit 0 at slot 1,
+# qubit 1 at slot 2 and the ancilla at slot 0.
 BELL_NOISY_STEPS = (
-    ("a", None), ("g", h(0)), ("n", 0),
-    ("a", None), ("g", cnot(0, 1)), ("n", 0), ("n", 1),
-    ("a", None), ("g", cnot(0, 2)), ("n", 0), ("n", 2),
+    ("a", None, 0), ("g", h(0)), ("n", 0),
+    ("a", None, 0), ("g", cnot(0, 1)), ("n", 0), ("n", 1),
+    ("a", None, 0), ("g", cnot(0, 2)), ("n", 0), ("n", 2),
     ("g", cnot(1, 2)), ("n", 1), ("n", 2),
     ("m", 2, 0), ("m", 0, 1), ("m", 0, 2),
-    ("a", 1), ("a", 2), ("a", 0),
+    ("a", 1, 0), ("a", 2, 0), ("a", 0, 0),
 )
 
 
@@ -511,6 +531,11 @@ PARITY_SOURCES = {
     # An unused qubit's measurement is a parity step on no positions; it
     # still draws.
     "unused-measured": "qubits 2\nh 0\nmeasure 1 -> z\nmeasure 0 -> a\n",
+    # Two partners of one control wait side by side: the second cnot from
+    # the control acts on no live qubit, so it does not bring the first in.
+    "partners-wait": DEFERRED_PARTNERS,
+    # The x on the measured qubit folds into its re-entry bit.
+    "flip-folds": FLIP_FOLDS,
 }
 
 
@@ -629,7 +654,7 @@ class TestExactDistribution:
             amps[0] = np.nan
 
         # The second circuit's only branch step is the ancilla's parity step.
-        parity_only = lowered("qubits 1\nx 0\nassert_classical 0 == 1 label c\n")
+        parity_only = lowered("qubits 1\nh 0\nh 0\nassert_classical 0 == 0 label c\n")
         program = runner._ShotProgram(parity_only, None)
         branch_kinds = [step[0] for step in program.steps if step[0] in "mpn"]
         assert branch_kinds == ["p"]

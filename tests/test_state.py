@@ -102,6 +102,23 @@ class TestConstruction:
         st = from_amplitudes([3.0, 4.0], normalize=True)
         np.testing.assert_allclose(st.amps, [0.6, 0.8], atol=1e-15)
 
+    # Warnings are errors in this suite, so an overflow in the norm fails.
+    @pytest.mark.parametrize("amps, expected", [
+        ([1e308, 1e308], [2**-0.5, 2**-0.5]),
+        ([complex(1.5e308, 1.5e308), complex(0.0, -1.5e308)],
+         [complex(1.0, 1.0) / 3**0.5, complex(0.0, -1.0) / 3**0.5]),
+        ([1e-320, 0.0], [1.0, 0.0]),
+        ([5e-324, complex(0.0, 5e-324)], [2**-0.5, complex(0.0, 2**-0.5)]),
+    ])
+    def test_from_amplitudes_normalizes_extreme_magnitudes(self, amps, expected):
+        st = from_amplitudes(amps, normalize=True)
+        np.testing.assert_allclose(st.amps, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("amps", [[0.0, 0.0], [complex(-0.0, 0.0), complex(0.0, -0.0)]])
+    def test_from_amplitudes_cannot_normalize_zero(self, amps):
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            from_amplitudes(amps, normalize=True)
+
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("amps", [[np.nan, 1.0], [np.inf, 1.0], [1.0, complex(0.0, -np.inf)]])
     def test_from_amplitudes_rejects_non_finite(self, amps, normalize):
