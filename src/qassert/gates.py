@@ -27,6 +27,7 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "qubits", tuple(self.qubits))
         arity = GATE_ARITY.get(self.name)
         if arity is None:
             raise ValueError(f"unknown gate {self.name!r}")

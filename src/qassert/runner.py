@@ -23,7 +23,9 @@ out of the state, and its measurement reads the parity of its controls
 over the instructions into one flat list of alloc, gate, measurement and
 gate-noise steps.  A shot's record is fixed at its last measurement, so
 `run_shots` and `exact_distribution` stop there; only `run_single`, which
-returns the final state, runs the steps after it.
+returns the final state, runs the steps after it.  A readout flip changes a
+recorded bit and never the state, so it never splits the outcome tree: a
+shot's record is its branch's measured bits XOR its own readout flips.
 
 One engine walks the plan's outcome tree (`_ShotProgram.walk`): a gate
 runs once per tree node, and at a branch step a split rule names the
@@ -42,6 +44,7 @@ that carries probability, weighted by it, instead of drawing one.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -66,9 +69,9 @@ from .state import (
 # state, so the walk grows with 2**(measurements) on random outcomes.
 MAX_EXACT_BRANCHES = 1 << 16
 
-# Shots walked down one outcome tree together.  It bounds the streams and
-# bits held at once, and the log2(SHOT_BLOCK) + 1 states a walk keeps
-# alive; results do not depend on it.
+# Shots walked down one outcome tree together.  It bounds the streams held
+# at once, and the log2(SHOT_BLOCK) + 1 states a walk keeps alive; results
+# do not depend on it.
 SHOT_BLOCK = 4096
 
 @dataclass(frozen=True)
@@ -96,6 +99,7 @@ class RunStatistics:
     counts: dict[str, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "creg_names", tuple(self.creg_names))
         total, width = self.total_shots, len(self.creg_names)
         if type(total) is not int or total < 0:
             raise ValueError(f"total_shots must be a non-negative int, got {total!r}")
@@ -144,9 +148,14 @@ class FilterReport:
     kept_fraction: float
 
 
-def _bit(projected: int, slot) -> int:
-    """The projected bit of creg slot `slot`; 0 for a qubit never measured (None)."""
-    return 0 if slot is None else projected >> slot & 1
+def _bit(bits: int, slot) -> int:
+    """Bit `slot` of projected bits or a record; 0 for None (a qubit never measured)."""
+    return 0 if slot is None else bits >> slot & 1
+
+
+def _key(record: int, width: int) -> str:
+    """The count key of a record of `width` creg bits: character i is slot i's bit."""
+    return "".join("01"[record >> i & 1] for i in range(width))
 
 
 def _partition(group: list, keys: list) -> dict:
@@ -194,11 +203,12 @@ class _ShotProgram:
     controls, which are live.  Such a deferred instruction changes no
     live qubit, so it flushes nothing but a control it needs brought in.
     Any other instruction flushes each qubit it uses that is outside, and
-    each waiting qubit with a control it uses, since a deferred gate
-    commutes only with what acts on other qubits.  A flush brings a qubit
-    in with the alloc and `cnot` steps its entry holds.  Under gate noise
-    nothing is deferred, since noise sites draw in program order.  `steps`
-    holds, on physical positions:
+    each waiting qubit with a control it measures or may change: a deferred
+    cnot commutes with what acts on other qubits and with `z`, `s` and a
+    `cnot` from its control, which keep the control's basis value.  A
+    flush brings a qubit in with the alloc and `cnot` steps its entry
+    holds.  Under gate noise nothing is deferred, since noise sites draw
+    in program order.  `steps` holds, on physical positions:
     - ("a", slot, flip) tensors a qubit in as a new top position at the
       projected bit of `slot` (0 for None) XOR `flip`, so an `x` on a
       waiting qubit costs no kernel;
@@ -268,7 +278,10 @@ class _ShotProgram:
             defer = not gate_noise and q in outside and (
                 not is_gate or instr.gate.name in ("x", "cnot"))
             if not defer:
-                for r in [r for r, entry in outside.items() if not entry[0].isdisjoint(qubits)]:
+                # The qubits whose basis value it may change: z, s and a
+                # cnot's control keep theirs.
+                changed = qubits[is_gate and instr.gate.name in ("z", "s", "cnot"):]
+                for r in [r for r, entry in outside.items() if not entry[0].isdisjoint(changed)]:
                     flush(r)
             for u in qubits:
                 if u in outside and not (defer and u == q):
@@ -301,9 +314,12 @@ class _ShotProgram:
         self.steps, self.layout = tuple(steps), tuple(layout)
 
     def split_shots(self, amps, step, group) -> list:
-        """The shot rule: draw every shot's event at branch step `step`,
-        record its measured bit, and split `group`, a list of
-        (RngStream, bits) shots, by event: [(event, shots)], largest last."""
+        """The shot rule: draw every shot's event at branch step `step` and
+        split `group`, a list of (RngStream, flips) shots, by event:
+        [(event, shots)], largest last.  Bit i of the int `flips` is the
+        shot's readout flip at creg slot i, drawn right after its outcome,
+        and its record is its branch's projected bits XOR `flips`: a flip
+        never splits the group, since it changes no state."""
         if step[0] == "n":
             if len(group) == 1:
                 return [(_draw_pauli(self.model, group[0][0]), group)]
@@ -312,10 +328,9 @@ class _ShotProgram:
             _, where, slot = step
             probs = _checked_probabilities(amps, where)
             outcomes = [_draw_outcome(probs[1], rng) for rng, _ in group]
-            for (rng, bits), outcome in zip(group, outcomes):
-                if self.readout_noise:
-                    outcome = apply_readout_noise(outcome, self.model, rng)
-                bits[slot] = outcome
+            if self.readout_noise:
+                group = [(rng, flips ^ apply_readout_noise(0, self.model, rng) << slot)
+                         for rng, flips in group]
             parts = {}
             for outcome, shots in _partition(group, outcomes).items():
                 _check_branch(probs[outcome])
@@ -330,7 +345,9 @@ class _ShotProgram:
         (final state, projected bits, payload) once per leaf.  The projected
         bits are an int whose bit i is the outcome, before readout noise, of
         the measurement of creg slot i; a branch never changes its parent's
-        bits, and only at a noise site does it share its parent's array."""
+        bits, and only at a noise site does it share its parent's array.
+        Readout flips never split the tree: under the shot rule a shot's
+        record is the projected bits XOR its own flips, read at its leaf."""
         steps = self.steps
         stack = [(0, np.ones(1, dtype=np.complex128), 0, payload, None, None, False)]
         while stack:
@@ -390,16 +407,13 @@ def run_shots(
     program = _ShotProgram(circuit, model)
     creg_names = program.creg_names
 
-    counts: dict[str, int] = {}
+    records: Counter[int] = Counter()
     for start in range(0, shots, SHOT_BLOCK):
-        block = [
-            (RngStream.for_shot(master_seed, shot_offset + i), [0] * len(creg_names))
-            for i in range(start, min(shots, start + SHOT_BLOCK))
-        ]
-        for _, _, group in program.walk(block, program.split_shots, program.recorded):
-            for _, bits in group:
-                key = "".join("01"[b] for b in bits)
-                counts[key] = counts.get(key, 0) + 1
+        block = [(RngStream.for_shot(master_seed, shot_offset + i), 0)
+                 for i in range(start, min(shots, start + SHOT_BLOCK))]
+        for _, projected, group in program.walk(block, program.split_shots, program.recorded):
+            records.update(projected ^ flips for _, flips in group)
+    counts = {_key(record, len(creg_names)): n for record, n in records.items()}
     return RunStatistics(shots, creg_names, counts)
 
 
@@ -421,12 +435,13 @@ def run_single(
                                                  shot_index=shot_index)
     program = _ShotProgram(circuit, model)
     creg_names = program.creg_names
-    bits = [0] * len(creg_names)
-    shot = (RngStream.for_shot(master_seed, shot_index), bits)
-    ((final, _, _),) = program.walk([shot], program.split_shots, len(program.steps))
-    creg_values = dict(zip(creg_names, bits))
+    shot = (RngStream.for_shot(master_seed, shot_index), 0)
+    ((final, projected, ((_, flips),)),) = program.walk(
+        [shot], program.split_shots, len(program.steps))
+    record = projected ^ flips
+    creg_values = {name: _bit(record, i) for i, name in enumerate(creg_names)}
     _, assertions = _split_cregs(creg_names)
-    outcomes = {label: "fail" if bits[i] else "pass" for i, label in assertions}
+    outcomes = {label: "fail" if _bit(record, i) else "pass" for i, label in assertions}
     return ShotRecord(creg_values, outcomes), program.full_state(final)
 
 
@@ -466,9 +481,9 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
         return branches
 
     program = _ShotProgram(circuit, None)
-    slots = range(len(program.creg_names))
+    width = len(program.creg_names)
     leaves = program.walk(1.0, split, program.recorded)
-    return {"".join("01"[bits >> i & 1] for i in slots): prob for _, bits, prob in leaves}
+    return {_key(bits, width): prob for _, bits, prob in leaves}
 
 
 def _rows(stats: RunStatistics) -> Iterator[tuple[str, int, str, list[str]]]:

@@ -44,7 +44,10 @@ class StateVector:
             )
         if not np.isfinite(arr).all():
             raise InvariantViolationError("non-finite amplitude in state vector")
-        norm_sq = float(np.sum(arr.real**2 + arr.imag**2))
+        # Squares near the float maximum overflow to inf, which fails the
+        # check below; that overflow is not worth a warning.
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.sum(arr.real**2 + arr.imag**2))
         if abs(norm_sq - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
         arr.setflags(write=False)

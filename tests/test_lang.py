@@ -296,6 +296,11 @@ class TestRoundTrip:
         circuit = parse(BELL_SOURCE)
         assert parse(pretty_print(circuit)) == circuit
 
+    def test_list_operands_round_trip(self):
+        # A gate built from a list stores a tuple, as parse's gates do.
+        circuit = Circuit(2, [GateInstr(Gate("h", [0])), GateInstr(Gate("cnot", [0, 1]))])
+        assert parse(pretty_print(circuit)) == circuit
+
     def test_corpus_round_trip(self, corpus_files):
         for path in corpus_files:
             circuit = parse(path.read_text())

@@ -32,6 +32,7 @@ from qassert import (
     run_single,
     sample_measurements,
     states_equal_up_to_global_phase,
+    z,
 )
 import qassert.runner as runner
 
@@ -76,6 +77,8 @@ assert_entangled 6 2 parity 0 label e
 # qubit 0, and qubit 0 waits after its first measurement, taking an x.
 DEFERRED_PARTNERS = "qubits 3\nh 0\ncnot 0 1\ncnot 0 2\nmeasure 1 -> a\nmeasure 2 -> b\nmeasure 0 -> c\n"
 FLIP_FOLDS = "qubits 1\nh 0\nmeasure 0 -> a\nx 0\nh 0\nmeasure 0 -> b\n"
+# A z keeps its qubit's basis value, so qubit 1 waits through it.
+Z_COMMUTES = "qubits 2\nh 0\ncnot 0 1\nz 0\nmeasure 1 -> a\nmeasure 0 -> b\n"
 
 # Each distinct fixture circuit once: the corpus files and the random ones.
 GOLDEN_SOURCES = {c["source"]: c["name"] for c in GOLDEN}
@@ -424,12 +427,15 @@ class TestOutcomeTree:
 
     # A deferred gate acts on no live qubit, so it pulls no other waiting
     # qubit in, and an x on a waiting qubit costs no kernel: it sets the
-    # bit the qubit re-enters at.  One shot runs every step once.
+    # bit the qubit re-enters at.  A z on a control commutes with the
+    # waiting cnot, so it pulls nothing in either.  One shot runs every
+    # step once.
     @pytest.mark.parametrize("model", ["none", "readout"])
     @pytest.mark.parametrize("source, kernels", [
         (DEFERRED_PARTNERS, [h(0)]),
         (FLIP_FOLDS, [h(0), h(0)]),
-    ], ids=["partners-wait", "flip-folds"])
+        (Z_COMMUTES, [h(0), z(0)]),
+    ], ids=["partners-wait", "flip-folds", "z-commutes"])
     def test_waiting_qubits_cost_nothing(self, source, kernels, model, monkeypatch):
         circuit = parse(source)
         assert runner._ShotProgram(circuit, MODELS[model]).peak_width == 1
@@ -536,6 +542,13 @@ PARITY_SOURCES = {
     "partners-wait": DEFERRED_PARTNERS,
     # The x on the measured qubit folds into its re-entry bit.
     "flip-folds": FLIP_FOLDS,
+    # An s on the control and a cnot from it into a live qubit keep its
+    # basis value, so the partner waits through both until the h.
+    "commute-s-cnot": "qubits 3\nh 0\nh 2\ncnot 0 1\ns 0\ncnot 0 2\nh 0\n"
+                      "measure 0 -> a\nmeasure 1 -> b\nmeasure 2 -> c\n",
+    # A cnot into the control changes it: the partner comes in first.
+    "flush-on-cnot-target": "qubits 3\nh 0\ncnot 0 1\nh 2\ncnot 2 0\n"
+                            "measure 1 -> b\nmeasure 0 -> a\nmeasure 2 -> c\n",
 }
 
 
@@ -623,8 +636,18 @@ class TestExactDistribution:
             exact_distribution(parse(BELL_SOURCE))
 
     def test_long_measurement_sequence(self):
+        # A record of 2,000 creg bits, far wider than a machine word.  At
+        # readout_p 1 every recorded bit flips and the state does not.
         source = "qubits 1\n" + "".join(f"measure 0 -> m{i}\n" for i in range(2000))
-        assert exact_distribution(parse(source)) == {"0" * 2000: 1.0}
+        circuit = parse(source)
+        assert exact_distribution(circuit) == {"0" * 2000: 1.0}
+        for readout_p, flip in [(0.0, "0"), (1.0, "1")]:
+            model = NoiseModel(readout_flip_p=readout_p)
+            assert run_shots(circuit, 5, 3, model).counts == {flip * 2000: 5}
+            record, state = run_single(circuit, 3, model, shot_index=4)
+            bits = "".join(str(record.creg_values[c]) for c in circuit.creg_names)
+            assert bits == flip * 2000, readout_p
+            assert states_equal_up_to_global_phase(state, new_basis_state(1), 1e-12)
 
     def test_branch_bound(self):
         def pairs(n):
@@ -704,6 +727,12 @@ class TestRunStatistics:
         assert stats.data_creg_names == ("q1",)
         assert stats.data_positions() == (0,)
         assert stats.assertion_positions() == (1,)
+
+    def test_creg_names_stored_as_tuple(self):
+        listed = RunStatistics(2, ["m"], {"0": 2})
+        assert listed.creg_names == ("m",)
+        merged = merge_statistics(listed, RunStatistics(3, ("m",), {"1": 3}))
+        assert merged == RunStatistics(5, ("m",), {"0": 2, "1": 3})
 
     def test_no_assertion_cregs(self):
         stats = RunStatistics(5, ("m",), {"0": 5})

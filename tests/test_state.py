@@ -98,6 +98,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             st.amps[0] = 0.0
 
+    # The norm check's squares overflow to inf; that must fail the check,
+    # not warn (warnings are errors in this suite).
+    @pytest.mark.parametrize("build", [
+        lambda amps: StateVector(1, amps),
+        lambda amps: from_amplitudes(amps),
+    ], ids=["StateVector", "from_amplitudes"])
+    def test_overflowing_norm_rejected(self, build):
+        with pytest.raises(ValueError, match="state is not normalized"):
+            build([1e308, 1e308])
+
     def test_from_amplitudes_normalize(self):
         st = from_amplitudes([3.0, 4.0], normalize=True)
         np.testing.assert_allclose(st.amps, [0.6, 0.8], atol=1e-15)
@@ -173,6 +183,12 @@ class TestGateValidation:
     def test_wrong_arity(self):
         with pytest.raises(ValueError, match="operand"):
             Gate("h", (0, 1))
+
+    def test_operands_stored_as_tuple(self):
+        gate = Gate("cnot", [0, 1])
+        assert gate.qubits == (0, 1)
+        assert gate == cnot(0, 1)
+        assert hash(gate) == hash(cnot(0, 1))
 
     def test_out_of_range_operand(self):
         with pytest.raises(ValueError, match="out of range"):
