@@ -542,6 +542,8 @@ PARITY_SOURCES = {
     "partners-wait": DEFERRED_PARTNERS,
     # The x on the measured qubit folds into its re-entry bit.
     "flip-folds": FLIP_FOLDS,
+    # The z on the control leaves the partner waiting.
+    "z-commutes": Z_COMMUTES,
     # An s on the control and a cnot from it into a live qubit keep its
     # basis value, so the partner waits through both until the h.
     "commute-s-cnot": "qubits 3\nh 0\nh 2\ncnot 0 1\ns 0\ncnot 0 2\nh 0\n"
