@@ -2,7 +2,9 @@
 
 Only `run` loads the simulator; `check` and `lower` need the circuit layer
 alone.  Exit codes: 0 success, 1 usage or parse error, 2 internal
-invariant violation.
+invariant violation.  A command handler writes only its result: every
+failure is raised, and `main` alone turns it into its message on stderr
+and its exit code.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .gates import InvariantViolationError
-from .lang import ParseError, _split_cregs, lower_assertions, parse, pretty_print
+from .lang import Circuit, ParseError, _split_cregs, lower_assertions, parse, pretty_print
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,26 +67,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_circuit(path: str):
+def _load_circuit(path: str) -> Circuit:
+    """Parse the circuit file at `path`; a `ParseError` propagates."""
     try:
         source = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
-        print(f"qassert: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        print(f"qassert: cannot read {path}: not UTF-8 text ({exc})", file=sys.stderr)
-        return None
-    try:
-        return parse(source)
-    except ParseError as exc:
-        print(f"{path}:{exc.line}:{exc.column}: {exc.message}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
+    return parse(source)
 
 
 def _cmd_check(args) -> int:
     circuit = _load_circuit(args.file)
-    if circuit is None:
-        return EXIT_USAGE
     print(
         f"ok: {args.file}: {circuit.num_qubits} qubits, "
         f"{len(circuit.instructions)} instructions, "
@@ -94,10 +89,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lower(args) -> int:
-    circuit = _load_circuit(args.file)
-    if circuit is None:
-        return EXIT_USAGE
-    print(pretty_print(lower_assertions(circuit)), end="")
+    print(pretty_print(lower_assertions(_load_circuit(args.file))), end="")
     return EXIT_OK
 
 
@@ -105,10 +97,7 @@ def _cmd_run(args) -> int:
     from . import runner
     from .noise import NoiseModel
 
-    circuit = _load_circuit(args.file)
-    if circuit is None:
-        return EXIT_USAGE
-    lowered = lower_assertions(circuit)
+    lowered = lower_assertions(_load_circuit(args.file))
     model = None
     if args.noise_gate_p is not None or args.noise_readout_p is not None or args.depolarizing:
         model = NoiseModel(
@@ -121,20 +110,14 @@ def _cmd_run(args) -> int:
     data_cregs = tuple(lowered.creg_names[i] for i in data_pos)
     for bits in args.expect:
         if len(bits) != len(data_cregs) or any(ch not in "01" for ch in bits):
-            print(
-                f"qassert: --expect {bits!r} must be a bitstring over the "
-                f"{len(data_cregs)} data creg(s) {' '.join(data_cregs) or '(none)'}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise ValueError(
+                f"--expect {bits!r} must be a bitstring over the "
+                f"{len(data_cregs)} data creg(s) {' '.join(data_cregs) or '(none)'}")
     if args.filtered and not args.expect:
-        print("qassert: --filtered requires at least one --expect", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--filtered requires at least one --expect")
     if args.depolarizing and args.noise_gate_p is None:
-        print("qassert: --depolarizing requires --noise-gate-p: it chooses which "
-              "Pauli a gate error applies, not how often errors occur",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--depolarizing requires --noise-gate-p: it chooses which "
+                         "Pauli a gate error applies, not how often errors occur")
 
     stats = runner.run_shots(lowered, args.shots, args.seed, model)
     report = None
@@ -172,6 +155,9 @@ def main(argv=None) -> int:
     handler = {"run": _cmd_run, "lower": _cmd_lower, "check": _cmd_check}[args.command]
     try:
         return handler(args)
+    except ParseError as exc:
+        print(f"{args.file}:{exc.line}:{exc.column}: {exc.message}", file=sys.stderr)
+        return EXIT_USAGE
     except InvariantViolationError as exc:
         print(f"qassert: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

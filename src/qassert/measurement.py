@@ -90,10 +90,12 @@ def _draw_outcome(p1: float, rng: RngStream) -> int:
     return 1 if rng.next_float() < p1 else 0
 
 
-def _check_branch(branch: float) -> None:
-    """Reject an outcome drawn from a branch that carries no probability."""
+def _check_branch(branch: float) -> float:
+    """Reject an outcome drawn from a branch that carries no probability;
+    return the branch's probability otherwise."""
     if branch <= 0.0:
         raise InvariantViolationError("measurement projected onto an empty branch")
+    return branch
 
 
 def measure(
@@ -103,8 +105,7 @@ def measure(
     _check_qubits(state.num_qubits, (q,))
     probs = _checked_probabilities(state.amps, q)
     outcome = _draw_outcome(probs[1], rng)
-    branch = probs[outcome]
-    _check_branch(branch)
+    branch = _check_branch(probs[outcome])
     amps = _project(state.amps, q, outcome, branch)
     record = MeasurementRecord(qubit=q, outcome=outcome, probability_of_outcome=branch)
     return record, StateVector(state.num_qubits, amps, copy=False)

@@ -54,7 +54,7 @@ from .lang import Circuit, GateInstr, _split_cregs
 from .measurement import (BRANCH_PROBABILITY_FLOOR, RngStream, _check_branch,
                           _check_shots, _check_stream_args, _draw_outcome)
 from .noise import NoiseModel, _draw_pauli, apply_readout_noise
-from .gates import Gate
+from .gates import Gate, _is_index
 from .state import (
     StateVector,
     _alloc_qubit,
@@ -90,8 +90,10 @@ class RunStatistics:
     The creg ``__assert_<label>`` holds assertion <label> (1 = fail), so
     assertion_labels and assertion_fail_counts are read off those cregs,
     in creg order.  The table must agree with itself: total_shots is a
-    non-negative int, every key a bitstring with one bit per creg, every
-    count a non-negative int, and the counts sum to total_shots.
+    non-negative integer, every key a bitstring with one bit per creg,
+    every count a non-negative integer, and the counts sum to total_shots.
+    Integers follow the package's index rule (an int or a numpy integer,
+    not a bool) and are stored as ints, in a copy of the caller's table.
     """
 
     total_shots: int
@@ -100,17 +102,19 @@ class RunStatistics:
 
     def __post_init__(self):
         object.__setattr__(self, "creg_names", tuple(self.creg_names))
-        total, width = self.total_shots, len(self.creg_names)
-        if type(total) is not int or total < 0:
+        total, width, counts = self.total_shots, len(self.creg_names), {}
+        if not _is_index(total) or total < 0:
             raise ValueError(f"total_shots must be a non-negative int, got {total!r}")
         for key, count in self.counts.items():
             if not isinstance(key, str) or len(key) != width or key.strip("01"):
                 raise ValueError(f"count key {key!r} is not a bitstring of {width} creg bits")
-            if type(count) is not int or count < 0:
+            if not _is_index(count) or count < 0:
                 raise ValueError(f"count of {key!r} must be a non-negative int, got {count!r}")
-        if sum(self.counts.values()) != total:
-            raise ValueError(
-                f"counts sum to {sum(self.counts.values())}, not total_shots = {total}")
+            counts[key] = int(count)
+        if sum(counts.values()) != total:
+            raise ValueError(f"counts sum to {sum(counts.values())}, not total_shots = {total}")
+        object.__setattr__(self, "total_shots", int(total))
+        object.__setattr__(self, "counts", counts)
 
     @property
     def assertion_labels(self) -> tuple[str, ...]:
@@ -158,14 +162,21 @@ def _key(record: int, width: int) -> str:
     return "".join("01"[record >> i & 1] for i in range(width))
 
 
-def _partition(group: list, keys: list) -> dict:
-    """Split `group` by the parallel list `keys`: {key: shots with it}."""
+def _partition(group: list, keys: list) -> list:
+    """Split `group` by the parallel list `keys` into [(key, shots with it)],
+    the largest part last and the others in first-seen order; of parts of
+    equal size, the first seen goes last.  It is the one place that splits
+    and orders a shot group, and it owns the shot walk's "largest last"
+    rule: every part walked before the last holds at most half of `group`,
+    which bounds the states alive at once to log2(len(group)) + 1."""
     if keys.count(keys[0]) == len(keys):
-        return {keys[0]: group}
+        return [(keys[0], group)]
     parts: dict = {}
     for shot, key in zip(group, keys):
         parts.setdefault(key, []).append(shot)
-    return parts
+    largest = max(parts, key=lambda key: len(parts[key]))
+    shots = parts.pop(largest)
+    return [*parts.items(), (largest, shots)]
 
 
 def _enter(amps, projected: int, step, event, copy: bool):
@@ -244,10 +255,11 @@ class _ShotProgram:
     splits by the random event: the Pauli, or the outcome before readout
     noise, since a readout flip changes the recorded bit and never the
     state.  Shots whose draws agree therefore share every array operation.
-    The largest subgroup goes last.  A parent's array stays alive only
-    while a copying subgroup below it is walked, and a copying subgroup
-    holds at most half the parent's shots, so at most log2(len(group)) + 1
-    states, the current one included, are alive at once.
+    `_partition` puts the largest subgroup last.  A parent's array stays
+    alive only while a copying subgroup below it is walked, and a copying
+    subgroup holds at most half the parent's shots, so at most
+    log2(len(group)) + 1 states, the current one included, are alive at
+    once.
     """
 
     def __init__(self, circuit: Circuit, model: NoiseModel | None):
@@ -316,28 +328,21 @@ class _ShotProgram:
     def split_shots(self, amps, step, group) -> list:
         """The shot rule: draw every shot's event at branch step `step` and
         split `group`, a list of (RngStream, flips) shots, by event:
-        [(event, shots)], largest last.  Bit i of the int `flips` is the
-        shot's readout flip at creg slot i, drawn right after its outcome,
-        and its record is its branch's projected bits XOR `flips`: a flip
-        never splits the group, since it changes no state."""
+        [(event, shots)] in `_partition`'s order, largest last.  Bit i of
+        the int `flips` is the shot's readout flip at creg slot i, drawn
+        right after its outcome, and its record is its branch's projected
+        bits XOR `flips`: a flip never splits the group, since it changes
+        no state."""
         if step[0] == "n":
-            if len(group) == 1:
-                return [(_draw_pauli(self.model, group[0][0]), group)]
-            parts = _partition(group, [_draw_pauli(self.model, rng) for rng, _ in group])
-        else:
-            _, where, slot = step
-            probs = _checked_probabilities(amps, where)
-            outcomes = [_draw_outcome(probs[1], rng) for rng, _ in group]
-            if self.readout_noise:
-                group = [(rng, flips ^ apply_readout_noise(0, self.model, rng) << slot)
-                         for rng, flips in group]
-            parts = {}
-            for outcome, shots in _partition(group, outcomes).items():
-                _check_branch(probs[outcome])
-                parts[outcome, probs[outcome]] = shots
-        largest = max(parts, key=lambda e: len(parts[e]))
-        shots = parts.pop(largest)
-        return [*parts.items(), (largest, shots)]
+            return _partition(group, [_draw_pauli(self.model, rng) for rng, _ in group])
+        _, where, slot = step
+        probs = _checked_probabilities(amps, where)
+        outcomes = [_draw_outcome(probs[1], rng) for rng, _ in group]
+        if self.readout_noise:
+            group = [(rng, flips ^ apply_readout_noise(0, self.model, rng) << slot)
+                     for rng, flips in group]
+        return [((outcome, _check_branch(probs[outcome])), shots)
+                for outcome, shots in _partition(group, outcomes)]
 
     def walk(self, payload, split: Callable, end: int):
         """Run `steps[:end]` from `payload` at the root, taking at each
@@ -346,6 +351,9 @@ class _ShotProgram:
         bits are an int whose bit i is the outcome, before readout noise, of
         the measurement of creg slot i; a branch never changes its parent's
         bits, and only at a noise site does it share its parent's array.
+        The walk goes on with the last branch listed and stacks the others,
+        so under the shot rule `_partition`'s "largest last" order bounds
+        the states alive at once to log2(len(group)) + 1.
         Readout flips never split the tree: under the shot rule a shot's
         record is the projected bits XOR its own flips, read at its leaf."""
         steps = self.steps
@@ -373,8 +381,7 @@ class _ShotProgram:
                     stack += [(k, amps, projected, branch, step, branch_event, True)
                               for branch_event, branch in others]
                     break
-                if event is not None:
-                    amps, projected = _enter(amps, projected, step, event, False)
+                amps, projected = _enter(amps, projected, step, event, False)
             else:
                 yield amps, projected, payload
 

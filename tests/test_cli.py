@@ -186,6 +186,51 @@ class TestRun:
         assert "24 declared qubits plus 1 assertion ancilla(s) come to 25" in err
 
 
+# Every failure path of a command: (arguments, the circuit file's bytes or
+# None for no file, its one stderr line).  "{path}" stands for the file.
+_RUN = ("run", "{path}", "--shots", "1", "--seed", "1")
+_BELL = BELL_SOURCE.encode()
+FAILURES = {
+    "missing-file": (
+        ("check", "{path}"), None,
+        "qassert: cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    "not-utf8": (
+        ("lower", "{path}"), b"qubits 1\nmeasure 0 -> m\xff\n",
+        "qassert: cannot read {path}: not UTF-8 text ('utf-8' codec can't decode "
+        "byte 0xff in position 23: invalid start byte)"),
+    **{f"parse-error-{command[0]}": (
+        command, b"qubits 1\ncnot 0 0\n",
+        "{path}:2:8: cnot operands must be distinct: (0, 0)")
+       for command in (("check", "{path}"), ("lower", "{path}"), _RUN)},
+    "expect-not-a-bitstring": (
+        (*_RUN, "--expect", "2x"), _BELL,
+        "qassert: --expect '2x' must be a bitstring over the 2 data creg(s) m0 m1"),
+    "filtered-without-expect": (
+        (*_RUN, "--filtered"), _BELL,
+        "qassert: --filtered requires at least one --expect"),
+    "depolarizing-without-gate-p": (
+        (*_RUN, "--depolarizing"), _BELL,
+        "qassert: --depolarizing requires --noise-gate-p: it chooses which Pauli "
+        "a gate error applies, not how often errors occur"),
+    "gate-p-above-one": (
+        (*_RUN, "--noise-gate-p", "1.5"), _BELL,
+        "qassert: gate_flip_p must be in [0, 1], got 1.5"),
+    "ancillas-past-max-qubits": (
+        _RUN, b"qubits 24\nh 0\nassert_superposition 0 label sp\n",
+        "qassert: 24 declared qubits plus 1 assertion ancilla(s) come to 25, "
+        "over MAX_QUBITS (24)"),
+}
+
+
+@pytest.mark.parametrize("argv, source, line", FAILURES.values(), ids=FAILURES)
+def test_failure_is_one_stderr_line_and_exit_1(tmp_path, capsys, argv, source, line):
+    path = tmp_path / "circuit.qac"
+    if source is not None:
+        path.write_bytes(source)
+    code = main([arg.format(path=path) for arg in argv])
+    assert (code, *capsys.readouterr()) == (1, "", line.format(path=path) + "\n")
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["explode"]) == 1

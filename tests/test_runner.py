@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import re
 from collections import Counter
 
@@ -373,6 +374,24 @@ def record_kernels(monkeypatch) -> list:
 
     monkeypatch.setattr(runner, "_apply_gate_inplace", counting)
     return applied
+
+
+class TestPartition:
+    """`_partition` is the one place a shot group is split and ordered."""
+
+    def test_largest_last_and_the_others_in_first_seen_order(self):
+        parts = runner._partition(list(range(7)), ["b", "a", "c", "a", "b", "a", "d"])
+        assert parts == [("b", [0, 4]), ("c", [2]), ("d", [6]), ("a", [1, 3, 5])]
+
+    def test_first_seen_of_the_equal_largest_goes_last(self):
+        parts = runner._partition(list(range(5)), ["x", "y", "z", "y", "x"])
+        assert parts == [("y", [1, 3]), ("z", [2]), ("x", [0, 4])]
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_one_part_when_every_key_agrees(self, size):
+        group = list(range(size))
+        ((key, shots),) = runner._partition(group, ["k"] * size)
+        assert key == "k" and shots is group
 
 
 class TestOutcomeTree:
@@ -754,10 +773,36 @@ class TestRunStatistics:
         (2, {"0": 3, "1": -1}, "count of '1' must be a non-negative int"),
         (2, {"0": 2.0}, "count of '0' must be a non-negative int"),
         (1, {"0": True}, "count of '0' must be a non-negative int"),
+        (np.True_, {"0": 1}, "total_shots must be a non-negative int"),
+        (np.int64(-1), {}, "total_shots must be a non-negative int"),
+        (np.float64(2.0), {"0": 2}, "total_shots must be a non-negative int"),
+        (1, {"0": np.True_}, "count of '0' must be a non-negative int"),
+        (2, {"0": np.int64(3), "1": np.int64(-1)}, "count of '1' must be a non-negative int"),
+        (2, {"0": np.float64(2.0)}, "count of '0' must be a non-negative int"),
+        (np.int64(3), {"0": np.int64(2)}, "counts sum to 2, not total_shots = 3"),
     ])
     def test_count_table_agrees_with_itself(self, total, counts, rule):
         with pytest.raises(ValueError, match=re.escape(rule)):
             RunStatistics(total, ("m",), counts)
+
+    def test_numpy_integers_stored_as_ints(self):
+        outcomes, counts = np.unique(np.array(["1", "0", "1"]), return_counts=True)
+        stats = RunStatistics(np.int64(3), ("m",), dict(zip(outcomes.tolist(), counts)))
+        assert stats == RunStatistics(3, ("m",), {"0": 1, "1": 2})
+        assert type(stats.total_shots) is int
+        assert {type(n) for n in stats.counts.values()} == {int}
+
+    def test_keeps_a_copy_of_the_callers_table(self):
+        counts = {"0": 2}
+        stats = RunStatistics(2, ("m",), counts)
+        counts["1"] = 5
+        assert stats.counts == {"0": 2}
+        report = compute_filter_report(stats, lambda data: data == "0")
+        assert (report.raw_error_rate, report.kept_fraction) == (0.0, 1.0)
+
+    def test_pickle_round_trip(self):
+        stats = table1_stats()
+        assert pickle.loads(pickle.dumps(stats)) == stats
 
 
 class TestFilterReport:
