@@ -100,8 +100,8 @@ class AssertionGadget:
     gates: tuple[Gate, ...]
 
     def bind(self, ancilla: int) -> tuple[Gate, ...]:
-        if ancilla < 0:
-            raise ValueError(f"ancilla index must be non-negative, got {ancilla}")
+        if not _is_index(ancilla) or ancilla < 0:
+            raise ValueError(f"ancilla index must be a non-negative integer, got {ancilla!r}")
         return tuple(
             Gate(g.name, tuple(ancilla if q == ANCILLA else q for q in g.qubits))
             for g in self.gates
@@ -119,8 +119,7 @@ def build_classical_assertion(q: int, expected: int) -> AssertionGadget:
     ancilla measurement projects q onto a classical state, and the error
     probability equals the amplitude weight of the wrong branch.
     """
-    spec = AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (q,), expected)
-    return AssertionGadget(ancilla_init=spec.expected, gates=(cnot(q, ANCILLA),))
+    return build_gadget(AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (q,), expected))
 
 
 def build_entanglement_assertion(targets, parity: int) -> AssertionGadget:
@@ -130,27 +129,39 @@ def build_entanglement_assertion(targets, parity: int) -> AssertionGadget:
     last CNOT duplicated so the total is even and the ancilla disentangles
     from a valid input.
     """
-    spec = AssertionSpec(AssertionKind.ENTANGLED, tuple(targets), parity)
-    gates = [cnot(t, ANCILLA) for t in spec.targets]
-    if len(spec.targets) % 2:
-        gates.append(cnot(spec.targets[-1], ANCILLA))
-    return AssertionGadget(ancilla_init=spec.expected, gates=tuple(gates))
+    return build_gadget(AssertionSpec(AssertionKind.ENTANGLED, tuple(targets), parity))
 
 
 def build_superposition_assertion(q: int) -> AssertionGadget:
     """Check that qubit q is in the uniform superposition |+>."""
-    return AssertionGadget(
-        ancilla_init=0,
-        gates=(cnot(q, ANCILLA), h(q), h(ANCILLA), cnot(q, ANCILLA)),
-    )
+    return build_gadget(AssertionSpec(AssertionKind.UNIFORM_SUPERPOSITION, (q,)))
 
 
 def build_gadget(spec: AssertionSpec) -> AssertionGadget:
-    if spec.kind is AssertionKind.CLASSICAL_EQUALS:
-        return build_classical_assertion(spec.targets[0], spec.expected)
-    if spec.kind is AssertionKind.ENTANGLED:
-        return build_entanglement_assertion(spec.targets, spec.expected)
-    return build_superposition_assertion(spec.targets[0])
+    """The gadget that checks `spec`, with `a` standing for ANCILLA:
+
+    ======================== ========  ===========================================
+    kind, targets            ancilla   gates
+    ======================== ========  ===========================================
+    CLASSICAL_EQUALS q       expected  cnot(q, a)
+    ENTANGLED t1 .. tk       expected  cnot(t1, a) .. cnot(tk, a); odd k repeats
+                                       cnot(tk, a)
+    UNIFORM_SUPERPOSITION q  0         cnot(q, a), h(q), h(a), cnot(q, a)
+    ======================== ========  ===========================================
+
+    The ancilla column is the state it is prepared in.  A target must be a
+    non-negative integer, since a negative one would alias the placeholder.
+    """
+    for t in spec.targets:
+        if not _is_index(t) or t < 0:
+            raise ValueError(f"assertion target must be a non-negative integer, got {t!r}")
+    if spec.kind is AssertionKind.UNIFORM_SUPERPOSITION:
+        (q,) = spec.targets
+        return AssertionGadget(0, (cnot(q, ANCILLA), h(q), h(ANCILLA), cnot(q, ANCILLA)))
+    targets = spec.targets
+    if spec.kind is AssertionKind.ENTANGLED and len(targets) % 2:
+        targets += targets[-1:]
+    return AssertionGadget(spec.expected, tuple(cnot(t, ANCILLA) for t in targets))
 
 
 def apply_gadget(state: StateVector, gadget: AssertionGadget) -> StateVector:

@@ -4,7 +4,8 @@ Only `run` loads the simulator; `check` and `lower` need the circuit layer
 alone.  Exit codes: 0 success, 1 usage or parse error, 2 internal
 invariant violation.  A command handler writes only its result: every
 failure is raised, and `main` alone turns it into its message on stderr
-and its exit code.
+and its exit code.  `main` also maps argparse's own exit status (2 on bad
+usage, 0 after ``--help``) to 1 or 0; argparse prints its message itself.
 """
 
 from __future__ import annotations
@@ -21,24 +22,13 @@ EXIT_USAGE = 1
 EXIT_INTERNAL = 2
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; remap to 1, keeping 2
-    # reserved for internal invariant violations.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="qassert",
         description="Simulate quantum circuits with runtime assertions "
         "and post-selection filtering.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_ArgumentParser
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run",
                          help="lower and execute a circuit, reporting statistics")
@@ -151,7 +141,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # Exit code 2 is kept for internal invariant violations.
+        return EXIT_USAGE if exc.code else EXIT_OK
     handler = {"run": _cmd_run, "lower": _cmd_lower, "check": _cmd_check}[args.command]
     try:
         return handler(args)

@@ -63,9 +63,12 @@ def cnot(control: int, target: int) -> Gate:
     return Gate("cnot", (control, target))
 
 
-def _check_num_qubits(n) -> None:
-    if type(n) is not int or not 1 <= n <= MAX_QUBITS:
+def _check_num_qubits(n) -> int:
+    """The qubit-count rule: an integer (by `_is_index`) in [1, MAX_QUBITS],
+    returned as an int."""
+    if not _is_index(n) or not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be an integer in [1, {MAX_QUBITS}], got {n!r}")
+    return int(n)
 
 
 def _is_index(value) -> bool:

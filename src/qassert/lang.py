@@ -98,8 +98,7 @@ class _Rules:
     none claimed twice (a measurement into ``__assert_<label>`` claims its label)."""
 
     def __init__(self, num_qubits: int):
-        _check_num_qubits(num_qubits)
-        self.num_qubits = num_qubits
+        self.num_qubits = _check_num_qubits(num_qubits)
         self.cregs: set[str] = set()  # claimed so far, assertions' as lowered
 
     def check(self, instr: Instruction) -> None:
@@ -146,6 +145,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
         rules = _Rules(self.num_qubits)
+        object.__setattr__(self, "num_qubits", rules.num_qubits)
         for instr in self.instructions:
             rules.check(instr)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gates import InvariantViolationError, _check_qubits, _is_index
-from .state import StateVector, _branch_probabilities, _checked_probabilities, _project
+from .state import StateVector, _checked_probabilities, _project
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
 
@@ -76,13 +76,13 @@ class MeasurementRecord:
 def prob_one(state: StateVector, q: int) -> float:
     """Born-rule probability that measuring qubit q yields 1."""
     _check_qubits(state.num_qubits, (q,))
-    return _branch_probabilities(state.amps, q)[1]
+    return _checked_probabilities(state.amps, q)[1]
 
 
 def prob_zero(state: StateVector, q: int) -> float:
     """Born-rule probability that measuring qubit q yields 0."""
     _check_qubits(state.num_qubits, (q,))
-    return _branch_probabilities(state.amps, q)[0]
+    return _checked_probabilities(state.amps, q)[0]
 
 
 def _draw_outcome(p1: float, rng: RngStream) -> int:
@@ -111,9 +111,12 @@ def measure(
     return record, StateVector(state.num_qubits, amps, copy=False)
 
 
-def _check_shots(shots) -> None:
-    if type(shots) is not int or shots < 0:
+def _check_shots(shots) -> int:
+    """The shot-count rule: a non-negative integer (by `_is_index`), returned
+    as an int."""
+    if not _is_index(shots) or shots < 0:
         raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
+    return int(shots)
 
 
 def _check_stream_args(**args) -> tuple[int, ...]:
@@ -136,7 +139,7 @@ def sample_measurements(
     deterministic, so only the Born draw varies between shots.
     """
     _check_qubits(state.num_qubits, (q,))
-    _check_shots(shots)
+    shots = _check_shots(shots)
     master_seed, shot_offset = _check_stream_args(master_seed=master_seed,
                                                   shot_offset=shot_offset)
     p1 = _checked_probabilities(state.amps, q)[1]
@@ -156,8 +159,7 @@ def postselect(state: StateVector, q: int, bit: int) -> StateVector | None:
     _check_qubits(state.num_qubits, (q,))
     if not _is_index(bit) or bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    probs = _branch_probabilities(state.amps, q)
-    branch = probs[bit]
+    branch = _checked_probabilities(state.amps, q)[bit]
     if branch < BRANCH_PROBABILITY_FLOOR:
         return None
     return StateVector(state.num_qubits, _project(state.amps, q, bit, branch), copy=False)

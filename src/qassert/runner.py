@@ -23,9 +23,8 @@ out of the state, and its measurement reads the parity of its controls
 over the instructions into one flat list of alloc, gate, measurement and
 gate-noise steps.  A shot's record is fixed at its last measurement, so
 `run_shots` and `exact_distribution` stop there; only `run_single`, which
-returns the final state, runs the steps after it.  A readout flip changes a
-recorded bit and never the state, so it never splits the outcome tree: a
-shot's record is its branch's measured bits XOR its own readout flips.
+returns the final state, runs the steps after it.  `split_shots` says how
+a readout flip enters a shot's record.
 
 One engine walks the plan's outcome tree (`_ShotProgram.walk`): a gate
 runs once per tree node, and at a branch step a split rule names the
@@ -36,7 +35,7 @@ costs one pass over the state per distinct outcome history, not per shot;
 a passing assertion, whose ancilla reads 0 in every shot, does not split
 the tree at all.  Each shot still draws from its own stream in the
 documented order, so every shot comes out exactly as it does alone
-(`run_single`), and at most log2(SHOT_BLOCK) + 1 states are alive.  Under
+(`run_single`); `_partition` bounds the states alive at once.  Under
 the exact rule (`exact_distribution`) a measurement takes every outcome
 that carries probability, weighted by it, instead of drawing one.
 """
@@ -70,7 +69,7 @@ from .state import (
 MAX_EXACT_BRANCHES = 1 << 16
 
 # Shots walked down one outcome tree together.  It bounds the streams held
-# at once, and the log2(SHOT_BLOCK) + 1 states a walk keeps alive; results
+# at once, and through `_partition` the states a walk keeps alive; results
 # do not depend on it.
 SHOT_BLOCK = 4096
 
@@ -168,7 +167,9 @@ def _partition(group: list, keys: list) -> list:
     equal size, the first seen goes last.  It is the one place that splits
     and orders a shot group, and it owns the shot walk's "largest last"
     rule: every part walked before the last holds at most half of `group`,
-    which bounds the states alive at once to log2(len(group)) + 1."""
+    and a parent's array stays alive only while such a part is walked, so at
+    most log2(len(group)) + 1 states, the current one included, are alive
+    at once."""
     if keys.count(keys[0]) == len(keys):
         return [(keys[0], group)]
     parts: dict = {}
@@ -252,14 +253,9 @@ class _ShotProgram:
 
     The shot rule, `split_shots`, carries a group of shots.  Every shot
     draws from its own stream, exactly as a lone shot would, and the group
-    splits by the random event: the Pauli, or the outcome before readout
-    noise, since a readout flip changes the recorded bit and never the
-    state.  Shots whose draws agree therefore share every array operation.
-    `_partition` puts the largest subgroup last.  A parent's array stays
-    alive only while a copying subgroup below it is walked, and a copying
-    subgroup holds at most half the parent's shots, so at most
-    log2(len(group)) + 1 states, the current one included, are alive at
-    once.
+    splits by the random event, so shots whose draws agree share every
+    array operation.  `_partition` orders the parts and so bounds the
+    states alive at once.
     """
 
     def __init__(self, circuit: Circuit, model: NoiseModel | None):
@@ -352,10 +348,8 @@ class _ShotProgram:
         the measurement of creg slot i; a branch never changes its parent's
         bits, and only at a noise site does it share its parent's array.
         The walk goes on with the last branch listed and stacks the others,
-        so under the shot rule `_partition`'s "largest last" order bounds
-        the states alive at once to log2(len(group)) + 1.
-        Readout flips never split the tree: under the shot rule a shot's
-        record is the projected bits XOR its own flips, read at its leaf."""
+        the order `_partition`'s bound on live states rests on.  Under the
+        shot rule a shot's record is read at its leaf (see `split_shots`)."""
         steps = self.steps
         stack = [(0, np.ones(1, dtype=np.complex128), 0, payload, None, None, False)]
         while stack:
@@ -408,7 +402,7 @@ def run_shots(
 
     Deterministic given (circuit, shots, master_seed, model, shot_offset).
     """
-    _check_shots(shots)
+    shots = _check_shots(shots)
     master_seed, shot_offset = _check_stream_args(master_seed=master_seed,
                                                   shot_offset=shot_offset)
     program = _ShotProgram(circuit, model)

@@ -35,7 +35,7 @@ class StateVector:
     __slots__ = ("num_qubits", "amps")
 
     def __init__(self, num_qubits: int, amps, *, copy: bool = True):
-        _check_num_qubits(num_qubits)
+        num_qubits = _check_num_qubits(num_qubits)
         arr = (np.array if copy else np.asarray)(amps, dtype=np.complex128)
         if arr.shape != (1 << num_qubits,):
             raise ValueError(
@@ -60,7 +60,7 @@ class StateVector:
 
 def new_basis_state(num_qubits: int, basis_index: int = 0) -> StateVector:
     """Computational-basis state |basis_index> on num_qubits qubits."""
-    _check_num_qubits(num_qubits)
+    num_qubits = _check_num_qubits(num_qubits)
     dim = 1 << num_qubits
     if not _is_index(basis_index) or not 0 <= basis_index < dim:
         raise ValueError(
@@ -221,15 +221,6 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate) -> None:
     _KERNELS[gate.name](amps, *gate.qubits)
 
 
-def _branch_probabilities(amps: np.ndarray, q: int) -> tuple[float, float]:
-    view = amps.reshape(-1, 2, 1 << q)
-    b0 = view[:, 0, :]
-    b1 = view[:, 1, :]
-    p0 = float((b0.real**2 + b0.imag**2).sum())
-    p1 = float((b1.real**2 + b1.imag**2).sum())
-    return p0, p1
-
-
 def _parity_class(size: int, positions, flip: int) -> np.ndarray:
     """A mask over the basis indices of a `size`-amplitude state: True where
     the parity of the bits at `positions`, XOR `flip`, reads 1."""
@@ -241,12 +232,16 @@ def _parity_class(size: int, positions, flip: int) -> np.ndarray:
 
 def _checked_probabilities(amps: np.ndarray, q) -> tuple[float, float]:
     """(P(0), P(1)) of measuring qubit q, or the parity class q (an array
-    from _parity_class), after checking the state's norm."""
+    from _parity_class), after checking the state's norm.  It is the one
+    reader of Born weights."""
     if isinstance(q, np.ndarray):
         weights = amps.real**2 + amps.imag**2
         p0, p1 = float(weights.sum(where=~q)), float(weights.sum(where=q))
     else:
-        p0, p1 = _branch_probabilities(amps, q)
+        view = amps.reshape(-1, 2, 1 << q)
+        b0, b1 = view[:, 0, :], view[:, 1, :]
+        p0 = float((b0.real**2 + b0.imag**2).sum())
+        p1 = float((b1.real**2 + b1.imag**2).sum())
     if not abs(p0 + p1 - 1.0) <= NORM_TOLERANCE:
         raise InvariantViolationError(
             f"state norm drifted before measurement: sum |amp|^2 = {p0 + p1!r}"
@@ -317,7 +312,7 @@ def factor_out_qubit(
     _check_qubits(state.num_qubits, (q,))
     if state.num_qubits == 1:
         raise ValueError("cannot factor the only qubit out of a 1-qubit state")
-    weights = _branch_probabilities(state.amps, q)
+    weights = _checked_probabilities(state.amps, q)
     bit = 1 if weights[1] > weights[0] else 0
     if min(weights) > tol:
         raise ValueError(

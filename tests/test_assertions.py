@@ -101,6 +101,30 @@ class TestBuilders:
         with pytest.raises(ValueError):
             gadget.bind(-1)
 
+    # ANCILLA is -1, so a negative target would alias the placeholder.
+    BUILDERS = {
+        "classical": lambda t: build_classical_assertion(t, 0),
+        "entanglement": lambda t: build_entanglement_assertion((2, t), 1),
+        "superposition": build_superposition_assertion,
+        "build_gadget": lambda t: build_gadget(
+            AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (t,), 1)),
+    }
+
+    @pytest.mark.parametrize("target", [-1, 1.5, True])
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_builders_reject_what_is_not_a_target(self, builder, target):
+        with pytest.raises(ValueError) as info:
+            self.BUILDERS[builder](target)
+        assert str(info.value) == (
+            f"assertion target must be a non-negative integer, got {target!r}")
+
+    @pytest.mark.parametrize("ancilla", [-1, 1.5, True])
+    def test_bind_rejects_what_is_not_an_index(self, ancilla):
+        with pytest.raises(ValueError) as info:
+            build_classical_assertion(0, 0).bind(ancilla)
+        assert str(info.value) == (
+            f"ancilla index must be a non-negative integer, got {ancilla!r}")
+
     def test_build_gadget_dispatch(self):
         spec = AssertionSpec(AssertionKind.ENTANGLED, (0, 1), 0)
         assert build_gadget(spec) == build_entanglement_assertion((0, 1), 0)

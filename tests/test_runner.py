@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import math
 import pickle
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -217,13 +219,19 @@ class TestRunShots:
             run_shots(lowered(BELL_SOURCE), -1, 0)
 
 
-@pytest.mark.parametrize("shots", [-1, 2.5, True])
+@pytest.mark.parametrize("shots", [-1, 2.5, True, 3, np.int64(3)])
 @pytest.mark.parametrize("entry", ["sample_measurements", "run_shots"])
 def test_one_shots_rule(entry, shots):
+    # Each entry point's counts, which come back as ints.
     call = {
-        "sample_measurements": lambda: sample_measurements(ket("+"), 0, shots, 1),
-        "run_shots": lambda: run_shots(parse("qubits 1\nh 0\nmeasure 0 -> m\n"), shots, 0),
+        "sample_measurements": lambda: list(sample_measurements(ket("+"), 0, shots, 1).values()),
+        "run_shots": lambda: list(
+            run_shots(parse("qubits 1\nh 0\nmeasure 0 -> m\n"), shots, 0).counts.values()),
     }[entry]
+    if shots == 3:  # 3 or np.int64(3): the rule of qubit indices
+        counts = call()
+        assert sum(counts) == 3 and {type(n) for n in counts} == {int}
+        return
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == f"shots must be a non-negative integer, got {shots!r}"
@@ -392,6 +400,39 @@ class TestPartition:
         group = list(range(size))
         ((key, shots),) = runner._partition(group, ["k"] * size)
         assert key == "k" and shots is group
+
+
+class TestLiveStates:
+    """`_partition`'s "largest last" order bounds the states a walk keeps
+    alive at once to log2(len(group)) + 1."""
+
+    # Gate noise splits a group unevenly, so the order of its parts shows.
+    SOURCE = ("qubits 4\n" + "".join(f"h {q}\n" for q in range(4))
+              + "cnot 0 1\ncnot 2 3\n" * 40
+              + "".join(f"measure {q} -> m{q}\n" for q in range(4)))
+
+    @pytest.mark.parametrize("shots", [64, 256])
+    def test_states_alive_at_once_within_the_bound(self, shots, monkeypatch):
+        # Every state the walk holds comes out of `_enter` or `_alloc_qubit`.
+        alive, peak = {}, 0
+
+        def tracked(make, state_of):
+            def call(*args):
+                nonlocal peak
+                out = make(*args)
+                amps = state_of(out)
+                alive[id(amps)] = weakref.ref(amps)
+                for key in [key for key, ref in alive.items() if ref() is None]:
+                    del alive[key]
+                peak = max(peak, len(alive))
+                return out
+            return call
+
+        monkeypatch.setattr(runner, "_enter", tracked(runner._enter, lambda out: out[0]))
+        monkeypatch.setattr(runner, "_alloc_qubit",
+                            tracked(runner._alloc_qubit, lambda out: out))
+        run_shots(parse(self.SOURCE), shots, 5, NoiseModel(gate_flip_p=0.05))
+        assert 2 <= peak <= math.log2(shots) + 1
 
 
 class TestOutcomeTree:

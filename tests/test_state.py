@@ -423,6 +423,11 @@ class TestIndexChecks:
                 build()
             assert str(info.value) == f"num_qubits must be an integer in [1, 24], got {n}"
 
+    @pytest.mark.parametrize("n", [2, np.int64(2)])
+    def test_qubit_count_accepted_as_an_int(self, n):
+        for built in (StateVector(n, [1, 0, 0, 0]), new_basis_state(n), Circuit(n)):
+            assert built.num_qubits == 2 and type(built.num_qubits) is int
+
 
 def test_format_state():
     text = format_state(sv({"00": S2, "11": S2}))
