@@ -20,9 +20,9 @@ _HOMES = {
     "gates": "Gate InvariantViolationError MAX_QUBITS cnot h s x y z",
     "lang": "ASSERT_CREG_PREFIX AssertInstr Circuit GateInstr Instruction MeasureInstr "
     "ParseError Span lower_assertions parse pretty_print",
-    "measurement": "BRANCH_PROBABILITY_FLOOR MeasurementRecord RngStream measure "
-    "postselect prob_one prob_zero sample_measurements",
-    "noise": "NoiseModel apply_gate_noise apply_readout_noise",
+    "measurement": "BRANCH_PROBABILITY_FLOOR MeasurementRecord NoiseModel RngStream "
+    "apply_gate_noise apply_readout_noise measure postselect prob_one prob_zero "
+    "sample_measurements",
     "runner": "FilterReport RunStatistics ShotRecord compute_filter_report "
     "exact_distribution merge_statistics render_report run_shots run_single",
     "state": "StateVector apply_gate basis_index factor_out_qubit fidelity format_state "

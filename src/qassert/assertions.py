@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .gates import Gate, _check_qubits, _is_index, cnot, h
+from .gates import Gate, _check_non_negative, _check_qubits, _is_index, cnot, h
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,7 +70,10 @@ class AssertionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        if len(set(self.targets)) != len(self.targets):
+        # Only integer targets can repeat: True == 1 and 1.0 == 1, but
+        # `build_gadget` rejects those with the integer rule's message.
+        indices = [t for t in self.targets if _is_index(t)]
+        if len(set(indices)) != len(indices):
             raise ValueError(f"assertion targets must be distinct: {self.targets}")
         entangled = self.kind is AssertionKind.ENTANGLED
         if entangled and len(self.targets) < 2:
@@ -100,8 +103,7 @@ class AssertionGadget:
     gates: tuple[Gate, ...]
 
     def bind(self, ancilla: int) -> tuple[Gate, ...]:
-        if not _is_index(ancilla) or ancilla < 0:
-            raise ValueError(f"ancilla index must be a non-negative integer, got {ancilla!r}")
+        ancilla = _check_non_negative(ancilla, "ancilla index")
         return tuple(
             Gate(g.name, tuple(ancilla if q == ANCILLA else q for q in g.qubits))
             for g in self.gates
@@ -153,8 +155,7 @@ def build_gadget(spec: AssertionSpec) -> AssertionGadget:
     non-negative integer, since a negative one would alias the placeholder.
     """
     for t in spec.targets:
-        if not _is_index(t) or t < 0:
-            raise ValueError(f"assertion target must be a non-negative integer, got {t!r}")
+        _check_non_negative(t, "assertion target")
     if spec.kind is AssertionKind.UNIFORM_SUPERPOSITION:
         (q,) = spec.targets
         return AssertionGadget(0, (cnot(q, ANCILLA), h(q), h(ANCILLA), cnot(q, ANCILLA)))

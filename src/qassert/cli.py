@@ -85,7 +85,7 @@ def _cmd_lower(args) -> int:
 
 def _cmd_run(args) -> int:
     from . import runner
-    from .noise import NoiseModel
+    from .measurement import NoiseModel
 
     lowered = lower_assertions(_load_circuit(args.file))
     model = None

@@ -71,6 +71,14 @@ def _check_num_qubits(n) -> int:
     return int(n)
 
 
+def _check_non_negative(value, what: str) -> int:
+    """The non-negative integer rule (by `_is_index`) for counts, targets and
+    ancillas: `value` as an int, or a ValueError that names `what`."""
+    if not _is_index(value) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _is_index(value) -> bool:
     """The integer rule for indices and bits: an int or a numpy integer, not a
     bool.  No numpy integer exists before numpy is loaded, so this does not

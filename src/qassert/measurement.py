@@ -1,18 +1,38 @@
-"""Measurement: the random stream, the sampling convention and the public
-Born-rule API, built on the qubit-axis primitives in :mod:`qassert.state`.
+"""Measurement and noise: every random draw a run makes, and the public
+Born-rule and noise API, built on the qubit-axis primitives in
+:mod:`qassert.state`.
 
 Measurement projects the state onto the observed branch and renormalizes
 by the branch's true probability mass, so the projected state is exact.
 Branches with probability below BRANCH_PROBABILITY_FLOOR are treated as
 impossible rather than renormalized numerical dust.
+
+Noise is trajectory style: a `NoiseModel` puts a random Pauli (X, or X, Y
+or Z when depolarizing) on each qubit a gate touches with probability
+gate_flip_p, and flips each recorded bit with probability readout_flip_p.
+
+Draw-order contract.  A shot draws uniforms from its own `RngStream` in
+program order:
+- a measurement draws one for its outcome, which is 1 iff the uniform is
+  below P(1); then, only when readout_flip_p > 0, one for its readout
+  flip, which happens iff that uniform is below readout_flip_p;
+- a gate, only when gate_flip_p > 0, draws one per touched qubit in
+  operand order, and an error fires iff it is below gate_flip_p; under
+  depolarizing noise a fired error draws one more right after it, which
+  picks X, Y or Z by the third of [0, 1) it falls in.
+A model with all probabilities zero therefore draws nothing beyond the
+outcomes and is bit-identical to running without a model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .gates import InvariantViolationError, _check_qubits, _is_index
-from .state import StateVector, _checked_probabilities, _project
+import numpy as np
+
+from .gates import Gate, InvariantViolationError, _check_non_negative, _check_qubits, _is_index
+from .state import StateVector, _apply_gate_inplace, _checked_probabilities, _project
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
 
@@ -65,6 +85,60 @@ class RngStream:
 
 
 @dataclass(frozen=True)
+class NoiseModel:
+    gate_flip_p: float = 0.0
+    readout_flip_p: float = 0.0
+    depolarizing: bool = False
+
+    def __post_init__(self):
+        for name in ("gate_flip_p", "readout_flip_p"):
+            p = getattr(self, name)
+            if type(p) is bool or not isinstance(p, (int, float, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {p!r}")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
+        if type(self.depolarizing) is not bool:
+            raise ValueError(f"depolarizing must be a bool, got {self.depolarizing!r}")
+
+
+def _draw_outcome(p1: float, rng: RngStream) -> int:
+    """The outcome of a measurement whose P(1) is `p1`."""
+    return 1 if rng.next_float() < p1 else 0
+
+
+def _draw_pauli(model: NoiseModel, rng: RngStream) -> str | None:
+    """The error on one touched qubit after a gate: "x", "y", "z" or None."""
+    if rng.next_float() >= model.gate_flip_p:
+        return None
+    if not model.depolarizing:
+        return "x"
+    r = rng.next_float()
+    return "x" if r < 1.0 / 3.0 else ("y" if r < 2.0 / 3.0 else "z")
+
+
+def apply_readout_noise(bit: int, model: NoiseModel, rng: RngStream) -> int:
+    """A recorded measurement bit after its readout flip, if one is drawn."""
+    p = model.readout_flip_p
+    if p > 0.0 and rng.next_float() < p:
+        return bit ^ 1
+    return bit
+
+
+def apply_gate_noise(
+    state: StateVector, touched: Sequence[int], model: NoiseModel, rng: RngStream
+) -> StateVector:
+    """Independently corrupt each touched qubit with probability gate_flip_p."""
+    _check_qubits(state.num_qubits, touched)
+    amps = state.amps.copy()
+    if model.gate_flip_p > 0.0:
+        for q in touched:
+            name = _draw_pauli(model, rng)
+            if name is not None:
+                _apply_gate_inplace(amps, Gate(name, (q,)))
+    return StateVector(state.num_qubits, amps, copy=False)
+
+
+@dataclass(frozen=True)
 class MeasurementRecord:
     """One measurement outcome plus its Born-rule probability at that moment."""
 
@@ -83,11 +157,6 @@ def prob_zero(state: StateVector, q: int) -> float:
     """Born-rule probability that measuring qubit q yields 0."""
     _check_qubits(state.num_qubits, (q,))
     return _checked_probabilities(state.amps, q)[0]
-
-
-def _draw_outcome(p1: float, rng: RngStream) -> int:
-    """The sampling convention: outcome 1 iff the next uniform < P(1)."""
-    return 1 if rng.next_float() < p1 else 0
 
 
 def _check_branch(branch: float) -> float:
@@ -111,14 +180,6 @@ def measure(
     return record, StateVector(state.num_qubits, amps, copy=False)
 
 
-def _check_shots(shots) -> int:
-    """The shot-count rule: a non-negative integer (by `_is_index`), returned
-    as an int."""
-    if not _is_index(shots) or shots < 0:
-        raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
-    return int(shots)
-
-
 def _check_stream_args(**args) -> tuple[int, ...]:
     """The integer rule for random-stream arguments (seeds, shot offsets and
     indices), by keyword: their values as ints, which a stream takes mod 2**64."""
@@ -139,7 +200,7 @@ def sample_measurements(
     deterministic, so only the Born draw varies between shots.
     """
     _check_qubits(state.num_qubits, (q,))
-    shots = _check_shots(shots)
+    shots = _check_non_negative(shots, "shots")
     master_seed, shot_offset = _check_stream_args(master_seed=master_seed,
                                                   shot_offset=shot_offset)
     p1 = _checked_probabilities(state.amps, q)[1]

@@ -34,10 +34,11 @@ at the Pauli a gate-noise site fires.  Without gate noise a run therefore
 costs one pass over the state per distinct outcome history, not per shot;
 a passing assertion, whose ancilla reads 0 in every shot, does not split
 the tree at all.  Each shot still draws from its own stream in the
-documented order, so every shot comes out exactly as it does alone
-(`run_single`); `_partition` bounds the states alive at once.  Under
-the exact rule (`exact_distribution`) a measurement takes every outcome
-that carries probability, weighted by it, instead of drawing one.
+order `qassert.measurement` documents, so every shot comes out exactly
+as it does alone (`run_single`); `_partition` bounds the states alive at
+once.  Under the exact rule (`exact_distribution`) a measurement takes
+every outcome that carries probability, weighted by it, instead of
+drawing one.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .lang import Circuit, GateInstr, _split_cregs
-from .measurement import (BRANCH_PROBABILITY_FLOOR, RngStream, _check_branch,
-                          _check_shots, _check_stream_args, _draw_outcome)
-from .noise import NoiseModel, _draw_pauli, apply_readout_noise
-from .gates import Gate, _is_index
+from .measurement import (BRANCH_PROBABILITY_FLOOR, NoiseModel, RngStream, _check_branch,
+                          _check_stream_args, _draw_outcome, _draw_pauli,
+                          apply_readout_noise)
+from .gates import Gate, _check_non_negative
 from .state import (
     StateVector,
     _alloc_qubit,
@@ -101,18 +102,15 @@ class RunStatistics:
 
     def __post_init__(self):
         object.__setattr__(self, "creg_names", tuple(self.creg_names))
-        total, width, counts = self.total_shots, len(self.creg_names), {}
-        if not _is_index(total) or total < 0:
-            raise ValueError(f"total_shots must be a non-negative int, got {total!r}")
+        total = _check_non_negative(self.total_shots, "total_shots")
+        width, counts = len(self.creg_names), {}
         for key, count in self.counts.items():
             if not isinstance(key, str) or len(key) != width or key.strip("01"):
                 raise ValueError(f"count key {key!r} is not a bitstring of {width} creg bits")
-            if not _is_index(count) or count < 0:
-                raise ValueError(f"count of {key!r} must be a non-negative int, got {count!r}")
-            counts[key] = int(count)
+            counts[key] = _check_non_negative(count, f"count of {key!r}")
         if sum(counts.values()) != total:
             raise ValueError(f"counts sum to {sum(counts.values())}, not total_shots = {total}")
-        object.__setattr__(self, "total_shots", int(total))
+        object.__setattr__(self, "total_shots", total)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -325,10 +323,9 @@ class _ShotProgram:
         """The shot rule: draw every shot's event at branch step `step` and
         split `group`, a list of (RngStream, flips) shots, by event:
         [(event, shots)] in `_partition`'s order, largest last.  Bit i of
-        the int `flips` is the shot's readout flip at creg slot i, drawn
-        right after its outcome, and its record is its branch's projected
-        bits XOR `flips`: a flip never splits the group, since it changes
-        no state."""
+        the int `flips` is the shot's readout flip at creg slot i, and its
+        record is its branch's projected bits XOR `flips`: a flip never
+        splits the group, since it changes no state."""
         if step[0] == "n":
             return _partition(group, [_draw_pauli(self.model, rng) for rng, _ in group])
         _, where, slot = step
@@ -402,7 +399,7 @@ def run_shots(
 
     Deterministic given (circuit, shots, master_seed, model, shot_offset).
     """
-    shots = _check_shots(shots)
+    shots = _check_non_negative(shots, "shots")
     master_seed, shot_offset = _check_stream_args(master_seed=master_seed,
                                                   shot_offset=shot_offset)
     program = _ShotProgram(circuit, model)

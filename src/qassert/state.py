@@ -276,14 +276,17 @@ def _alloc_qubit(amps: np.ndarray, bit: int) -> np.ndarray:
     return out
 
 
+def _check_same_width(s1: StateVector, s2: StateVector) -> None:
+    """Reject two states of different qubit counts."""
+    if s1.num_qubits != s2.num_qubits:
+        raise ValueError(f"qubit counts differ: {s1.num_qubits} vs {s2.num_qubits}")
+
+
 def states_equal_up_to_global_phase(
     s1: StateVector, s2: StateVector, tol: float = 1e-12
 ) -> bool:
     """True iff s1 = c * s2 element-wise within tol for some unit scalar c."""
-    if s1.num_qubits != s2.num_qubits:
-        raise ValueError(
-            f"qubit counts differ: {s1.num_qubits} vs {s2.num_qubits}"
-        )
+    _check_same_width(s1, s2)
     k = int(np.argmax(np.abs(s2.amps)))
     phase = s1.amps[k] * np.conj(s2.amps[k])
     mag = abs(phase)
@@ -293,10 +296,7 @@ def states_equal_up_to_global_phase(
 
 def fidelity(s1: StateVector, s2: StateVector) -> float:
     """Squared overlap |<s1|s2>|^2; 1 means the same physical state."""
-    if s1.num_qubits != s2.num_qubits:
-        raise ValueError(
-            f"qubit counts differ: {s1.num_qubits} vs {s2.num_qubits}"
-        )
+    _check_same_width(s1, s2)
     return float(abs(np.vdot(s1.amps, s2.amps)) ** 2)
 
 

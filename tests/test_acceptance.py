@@ -279,6 +279,37 @@ def test_criterion_6_noise_filtering_direction():
     _passed(6, "noise filtering direction")
 
 
+def _net_rates(source: str, p: float) -> tuple[float, float]:
+    """Exact (error rate of `source` without its assertion, filtered error
+    rate with it) under X noise at gate_flip_p = p."""
+    model, accepted = NoiseModel(gate_flip_p=p), ("00", "11")
+    plain = parse("".join(line for line in source.splitlines(keepends=True)
+                          if not line.startswith("assert_")))
+    baseline = sum(prob for key, prob in density_matrix_distribution(plain, model).items()
+                   if key not in accepted)
+    circuit = lower_assertions(parse(source))
+    layout = RunStatistics(0, circuit.creg_names, {})
+    _, filtered, _ = _exact_filter_rates(
+        density_matrix_distribution(circuit, model), layout, accepted)
+    return baseline, filtered
+
+
+def test_filter_net_benefit_against_no_assertion():
+    # On the bare Bell program the gadget's CNOTs add more data errors than
+    # the filter removes: without the assertion the rate is 2p(1-p).
+    for p in (0.01, 0.02, 0.05):
+        baseline, filtered = _net_rates(BELL_ASSERT_SOURCE, p)
+        assert abs(baseline - 2 * p * (1 - p)) <= 1e-12
+        assert baseline < filtered, f"no-assertion rate not below filtered at {p}"
+        if p == 0.02:
+            assert abs(filtered - 0.040732) < 5e-7
+    # With more noise before the check, one identity pair, the filter wins.
+    padded = BELL_ASSERT_SOURCE.replace("assert_", "cnot 0 1\ncnot 0 1\nassert_")
+    baseline, filtered = _net_rates(padded, 0.01)
+    assert filtered < baseline
+    assert abs(baseline - 0.048040) < 5e-7 and abs(filtered - 0.020778) < 5e-7
+
+
 def test_criterion_7_brute_force_oracle_equivalence(corpus_files):
     checked = 0
     for path in corpus_files:

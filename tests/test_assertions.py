@@ -92,8 +92,9 @@ class TestBuilders:
             build_entanglement_assertion((0,), 0)
 
     def test_entanglement_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="distinct"):
-            build_entanglement_assertion((0, 0), 0)
+        for targets in ((0, 0), (np.int64(1), 1)):
+            with pytest.raises(ValueError, match="assertion targets must be distinct"):
+                build_entanglement_assertion(targets, 0)
 
     def test_bind_substitutes_ancilla(self):
         gadget = build_classical_assertion(0, 0)
@@ -151,6 +152,16 @@ class TestSpecValidation:
             AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (0,), bit)
         with pytest.raises(ValueError, match="parity bit of 0 or 1"):
             AssertionSpec(AssertionKind.ENTANGLED, (0, 1), bit)
+
+    # True == 1 and 1.0 == 1, but neither is an index, so the pair is not a
+    # duplicate: it reaches the integer rule, as either target does alone.
+    @pytest.mark.parametrize("other", [True, 1.0])
+    def test_only_integer_targets_can_repeat(self, other):
+        spec = AssertionSpec(AssertionKind.ENTANGLED, (1, other), 0)
+        with pytest.raises(ValueError) as info:
+            build_gadget(spec)
+        assert str(info.value) == (
+            f"assertion target must be a non-negative integer, got {other!r}")
 
     def test_superposition_takes_no_expected(self):
         with pytest.raises(ValueError, match="no expected"):

@@ -175,6 +175,25 @@ class TestParseErrors:
     def test_bad_creg_name(self):
         self.assert_error("qubits 1\nmeasure 0 -> 9lives\n", 2, "creg name")
 
+    # A statement that ends before its next token fails at the column just
+    # past its last token.
+    @pytest.mark.parametrize("source, line, column, message", [
+        ("qubits", 1, 7, "expected a qubit count"),
+        ("qubits 2\nh", 2, 2, "expected a qubit index"),
+        ("qubits 2\ncnot 0", 2, 7, "expected a qubit index"),
+        ("qubits 2\nmeasure 0", 2, 10, "expected '->'"),
+        ("qubits 2\nmeasure 0 ->", 2, 13, "expected creg name"),
+        ("qubits 2\nassert_classical 0 ==", 2, 22, "expected the expected bit"),
+        ("qubits 2\nassert_entangled 0 1", 2, 21, "expected 'parity'"),
+        ("qubits 2\nassert_classical 0 == 1 label", 2, 30, "expected assertion label"),
+    ], ids=["qubits", "h", "cnot", "measure", "measure-arrow", "classical-equals",
+            "entangled", "label"])
+    def test_truncated_statement(self, source, line, column, message):
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert (info.value.message, info.value.line, info.value.column) == (
+            message, line, column)
+
     def test_error_string_has_position(self):
         with pytest.raises(ParseError) as info:
             parse("qubits 1\ncnot 0 0\n")

@@ -17,7 +17,7 @@ import pytest
 import qassert
 
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.qac"))
-SIMULATOR = ("numpy", "qassert.state", "qassert.runner", "qassert.measurement", "qassert.noise")
+SIMULATOR = ("numpy", "qassert.state", "qassert.runner", "qassert.measurement")
 
 
 def fresh(code: str):

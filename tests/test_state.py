@@ -165,6 +165,12 @@ class TestKets:
     def test_ket_rejects_junk(self):
         with pytest.raises(ValueError):
             ket("0a")
+        with pytest.raises(ValueError) as info:
+            ket("")
+        assert str(info.value) == "empty ket label"
+        with pytest.raises(ValueError) as info:
+            basis_index("0+")
+        assert str(info.value) == "classical ket labels use only 0/1, got '0+'"
 
     def test_tensor_matches_ket(self):
         assert_same_state(tensor(ket("0"), ket("1")), ket("01"))
@@ -305,8 +311,10 @@ class TestComparisons:
         assert not states_equal_up_to_global_phase(st, ket("+"), 1e-12)
 
     def test_mismatched_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            states_equal_up_to_global_phase(ket("0"), ket("00"))
+        for compare in (fidelity, states_equal_up_to_global_phase):
+            with pytest.raises(ValueError) as info:
+                compare(ket("0"), ket("00"))
+            assert str(info.value) == "qubit counts differ: 1 vs 2"
 
     def test_fidelity(self):
         assert fidelity(ket("+"), ket("+")) == pytest.approx(1.0, abs=1e-15)
@@ -433,3 +441,7 @@ def test_format_state():
     text = format_state(sv({"00": S2, "11": S2}))
     assert text == "0.7071|00> + 0.7071|11>"
     assert format_state(ket("1")) == "1|1>"
+    imaginary = from_amplitudes([1, 1j], normalize=True)
+    assert format_state(imaginary) == "0.7071|0> + 0.7071j|1>"
+    complex_ = from_amplitudes([1 + 1j, 1 - 1j], normalize=True)
+    assert format_state(complex_) == "(0.5+0.5j)|0> + (0.5-0.5j)|1>"
