@@ -35,6 +35,8 @@ class Gate:
             raise ValueError(
                 f"{self.name} expects {arity} operand(s), got {len(self.qubits)}"
             )
+        for q in self.qubits:  # no range: a gadget's ANCILLA placeholder is -1
+            _check_index(q)
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.name} operands must be distinct: {self.qubits}")
 
@@ -89,10 +91,15 @@ def _is_index(value) -> bool:
     return np is not None and isinstance(value, np.integer)
 
 
+def _check_index(q, what: str = "qubit") -> None:
+    """Reject `q` unless it follows the integer rule of indices."""
+    if not _is_index(q):
+        raise ValueError(f"{what} index must be an integer, got {q!r}")
+
+
 def _check_qubits(n: int, qubits, what: str = "qubit", of: str = "state") -> None:
     """Reject any of `qubits` that is not an integer index into an `n`-qubit `of`."""
     for q in qubits:
-        if not _is_index(q):
-            raise ValueError(f"{what} index must be an integer, got {q!r}")
+        _check_index(q, what)
         if not 0 <= q < n:
             raise ValueError(f"{what} {q} out of range for {n}-qubit {of}")

@@ -170,27 +170,22 @@ class Circuit:
 
 class _Statement:
     """Token cursor over one source line, reporting errors with positions.
-    It notes the qubits read and the last operand's column for `blame`."""
+
+    `take_qubit` applies the range rule as it reads each qubit, so a
+    statement fails at the first token that breaks a rule, in reading order.
+    A rule checked once the statement is read (by Gate, AssertionSpec or
+    `_Rules`) is reported at `operand_column`: the last operand read, which
+    is the creg or label, or the last qubit before one, or the statement's
+    first token for an automatic label."""
 
     def __init__(self, line: int, tokens: list[tuple[str, int]]):
         self.line = line
         self.tokens = tokens
         self.pos = 0
-        self.qubits: list[tuple[int, int]] = []  # (index, column)
         self.operand_column = tokens[0][1]
 
     def fail(self, message: str, column: int) -> ParseError:
         return ParseError(message, self.line, column)
-
-    def blame(self, err: ValueError, num_qubits: int) -> ParseError:
-        """`err` at the first qubit the circuit rejects, else at the last
-        operand read: the creg or label, or the last qubit before one."""
-        for q, column in self.qubits:
-            try:
-                _check_qubits(num_qubits, (q,), "qubit", "circuit")
-            except ValueError as qubit_err:
-                return self.fail(str(qubit_err), column)
-        return self.fail(str(err), self.operand_column)
 
     def peek(self) -> str | None:
         if self.pos < len(self.tokens):
@@ -219,9 +214,10 @@ class _Statement:
             pass
         raise self.fail(f"expected {what}, got {tok!r}", col)
 
-    def take_qubit(self) -> int:
+    def take_qubit(self, num_qubits: int) -> int:
+        """A qubit index; a ValueError if a `num_qubits`-qubit circuit has none."""
         value, self.operand_column = self.take_int("a qubit index")
-        self.qubits.append((value, self.operand_column))
+        _check_qubits(num_qubits, (value,), "qubit", "circuit")
         return value
 
     def take_bit(self, what: str) -> int:
@@ -248,23 +244,31 @@ def _statements(source: str):
             yield _Statement(lineno, tokens)
 
 
-def _take_assertion(stmt: _Statement, word: str, span: Span, index: int) -> AssertInstr:
+# The assertion statements, one row per kind: ``assert_<kind.value>``, its
+# targets, then the keyword and the bit it takes (none for a superposition),
+# then ``[label NAME]``.  `parse` and `pretty_print` both read this table.
+_ASSERT_SYNTAX = {
+    AssertionKind.CLASSICAL_EQUALS: ("==", "the expected bit"),
+    AssertionKind.ENTANGLED: ("parity", "the parity bit"),
+    AssertionKind.UNIFORM_SUPERPOSITION: (None, None),
+}
+_ASSERT_KINDS = {f"assert_{kind.value}": kind for kind in _ASSERT_SYNTAX}
+
+
+def _take_assertion(stmt: _Statement, word: str, span: Span, index: int,
+                    num_qubits: int) -> AssertInstr:
     """The assertion statement `word`; `index` numbers an automatic label."""
-    if word == "assert_classical":
-        targets = [stmt.take_qubit()]
-        stmt.take_keyword("==")
-        kind, bit = AssertionKind.CLASSICAL_EQUALS, stmt.take_bit("the expected bit")
-    elif word == "assert_entangled":
-        targets = []
-        while stmt.peek() not in (None, "parity"):
-            targets.append(stmt.take_qubit())
-        stmt.take_keyword("parity")
-        kind, bit = AssertionKind.ENTANGLED, stmt.take_bit("the parity bit")
-    elif word == "assert_superposition":
-        targets = [stmt.take_qubit()]
-        kind, bit = AssertionKind.UNIFORM_SUPERPOSITION, None
-    else:
+    kind = _ASSERT_KINDS.get(word)
+    if kind is None:
         raise stmt.fail(f"unknown statement {word!r}", stmt.tokens[0][1])
+    keyword, bit_name = _ASSERT_SYNTAX[kind]
+    targets = [stmt.take_qubit(num_qubits)]
+    while kind is AssertionKind.ENTANGLED and stmt.peek() not in (None, keyword):
+        targets.append(stmt.take_qubit(num_qubits))
+    bit = None
+    if keyword is not None:
+        stmt.take_keyword(keyword)
+        bit = stmt.take_bit(bit_name)
     spec = AssertionSpec(kind, tuple(targets), bit)
     if stmt.peek() != "label":
         stmt.operand_column = stmt.tokens[0][1]  # an automatic label's token
@@ -276,9 +280,10 @@ def _take_assertion(stmt: _Statement, word: str, span: Span, index: int) -> Asse
 def parse(source: str) -> Circuit:
     """Parse circuit source text; raises ParseError with line/column.
 
-    Parsing checks the token syntax and the header's place.  Circuit, Gate
-    and AssertionSpec check every other rule; a statement that breaks one
-    fails with the rule's message at the token the rule is about."""
+    Parsing checks the token syntax and the header's place, and each qubit's
+    range as it reads it.  Circuit, Gate and AssertionSpec check every other
+    rule; a statement that breaks one fails with the rule's message at the
+    token the rule is about, the first such token in reading order."""
     rules: _Rules | None = None
     instructions: list[Instruction] = []
     assertion_count = 0
@@ -301,22 +306,21 @@ def parse(source: str) -> Circuit:
             raise stmt.fail("the first statement must be 'qubits N'", col)
 
         span = Span(stmt.line, col)
+        n = rules.num_qubits
         try:
             if word in GATE_ARITY:
-                qubits = (stmt.take_qubit(),)
-                if GATE_ARITY[word] == 2:
-                    qubits += (stmt.take_qubit(),)
+                qubits = tuple(stmt.take_qubit(n) for _ in range(GATE_ARITY[word]))
                 instr = GateInstr(Gate(word, qubits), span)
             elif word == "measure":
-                q = stmt.take_qubit()
+                q = stmt.take_qubit(n)
                 stmt.take_keyword("->")
                 instr = MeasureInstr(q, stmt.take_name("creg name"), span)
             else:
-                instr = _take_assertion(stmt, word, span, assertion_count)
+                instr = _take_assertion(stmt, word, span, assertion_count, n)
                 assertion_count += 1
             rules.check(instr)
         except ValueError as err:
-            raise stmt.blame(err, rules.num_qubits) from None
+            raise stmt.fail(str(err), stmt.operand_column) from None
         stmt.finish()
         instructions.append(instr)
 
@@ -327,19 +331,15 @@ def parse(source: str) -> Circuit:
 
 def _format_instruction(instr: Instruction) -> str:
     if isinstance(instr, GateInstr):
-        g = instr.gate
-        return f"{g.name} {' '.join(str(q) for q in g.qubits)}"
+        return " ".join([instr.gate.name, *map(str, instr.gate.qubits)])
     if isinstance(instr, MeasureInstr):
         return f"measure {instr.qubit} -> {instr.creg}"
     spec = instr.spec
-    if spec.kind is AssertionKind.CLASSICAL_EQUALS:
-        body = f"assert_classical {spec.targets[0]} == {spec.expected}"
-    elif spec.kind is AssertionKind.ENTANGLED:
-        targets = " ".join(str(t) for t in spec.targets)
-        body = f"assert_entangled {targets} parity {spec.expected}"
-    else:
-        body = f"assert_superposition {spec.targets[0]}"
-    return f"{body} label {instr.label}"
+    keyword, _ = _ASSERT_SYNTAX[spec.kind]
+    words = [f"assert_{spec.kind.value}", *map(str, spec.targets)]
+    if keyword is not None:
+        words += [keyword, str(spec.expected)]
+    return " ".join([*words, "label", instr.label])
 
 
 def pretty_print(circuit: Circuit) -> str:

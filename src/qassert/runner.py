@@ -344,9 +344,12 @@ class _ShotProgram:
         bits are an int whose bit i is the outcome, before readout noise, of
         the measurement of creg slot i; a branch never changes its parent's
         bits, and only at a noise site does it share its parent's array.
-        The walk goes on with the last branch listed and stacks the others,
-        the order `_partition`'s bound on live states rests on.  Under the
-        shot rule a shot's record is read at its leaf (see `split_shots`)."""
+        At a step that splits, every branch is pushed on the stack, the last
+        one listed first, so the walk takes the others first and the last
+        branch listed after all of them (at a noise site, only that branch
+        goes on in its parent's array without a copy).  `_partition`'s bound
+        on live states rests on this order.  Under the shot rule a shot's
+        record is read at its leaf (see `split_shots`)."""
         steps = self.steps
         stack = [(0, np.ones(1, dtype=np.complex128), 0, payload, None, None, False)]
         while stack:
@@ -628,7 +631,11 @@ def render_report(
     expected: Iterable[str] | None = None,
     meta: Mapping | None = None,
 ) -> str:
-    """Render statistics as an aligned table or a deterministic JSON document."""
+    """Render statistics as an aligned table or a deterministic JSON document.
+    `expected` is a collection of data bitstrings; a lone string is refused,
+    as iterating it would read its characters."""
+    if isinstance(expected, str):
+        raise ValueError(f"expected must be a collection of bitstrings, got {expected!r}")
     if format == "table":
         return _render_table(stats, report, expected, meta)
     if format == "json":

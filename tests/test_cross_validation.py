@@ -6,7 +6,10 @@ checked against the independent matrix oracle.  This is the wide net
 behind the hand-picked corpus cases.
 """
 
+import importlib.util
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -16,11 +19,18 @@ from qassert import (
     parse,
     pretty_print,
     run_shots,
+    run_single,
 )
 
 from helpers import binomial_4sigma
 from make_liveness_golden import MODELS
-from oracles import brute_force_distribution, density_matrix_distribution, l1_distance
+from make_report_golden import ROOT
+from oracles import (
+    brute_force_distribution,
+    density_matrix_distribution,
+    l1_distance,
+    reference_shots,
+)
 
 GATES_1Q = ["h", "x", "y", "z", "s"]
 
@@ -141,3 +151,33 @@ def test_larger_register_numpy_path():
     stats = run_shots(circuit, 500, 1)
     assert sum(stats.counts.values()) == 500
     assert set(stats.counts) <= {"00", "01", "10", "11"}
+
+
+def load_perfbench(name: str, monkeypatch):
+    """perfbench/<name>.py, loaded from its file under its own module name
+    (the benchmark's modules import one another by that name)."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["ghz_wide_noisy", "pairs_noiseless"])
+def test_traced_run_narrow_circuits_match_reference(workload, seed, monkeypatch):
+    # The traced benchmark run times each gated workload again on an 8-qubit
+    # copy (qubit q becomes q mod 8), where qubits are measured several times
+    # and brought back into the state. Only that run executes such circuits.
+    workloads = load_perfbench("workloads", monkeypatch)
+    tracing = load_perfbench("tracing", monkeypatch)
+    checks = load_perfbench("checks", monkeypatch)
+    w = workloads.WORKLOADS[workload](seed, ROOT)
+    model = checks.noise_model(w)
+    circuit = tracing.narrow(lower_assertions(parse(w.source)))
+    shots = reference_shots(circuit, w.sim_seed, w.shots, model)
+    expected = dict(Counter(key for key, _, _ in shots))
+    assert run_shots(circuit, w.shots, w.sim_seed, model).counts == expected
+    for i, (key, _, _) in enumerate(shots):
+        record, _ = run_single(circuit, w.sim_seed, model, shot_index=i)
+        assert "".join(str(record.creg_values[c]) for c in circuit.creg_names) == key, i

@@ -87,6 +87,11 @@ class TestParseErrors:
     def test_duplicate_cnot_operands(self):
         self.assert_error("qubits 1\ncnot 0 0\n", 2, "distinct", column=8)
 
+    def test_entangled_reads_a_target_before_parity(self):
+        # Every assertion statement reads one target before its keyword.
+        self.assert_error("qubits 2\nassert_entangled parity 0\n", 2,
+                          "expected a qubit index, got 'parity'", column=18)
+
     def test_missing_header(self):
         self.assert_error("h 0\n", 1, "qubits")
 
@@ -231,6 +236,10 @@ RULE_CASES = {
                      "qubit 2 out of range for 2-qubit circuit",
                      lambda: Circuit(2, (AssertInstr(
                          AssertionSpec(AssertionKind.ENTANGLED, (0, 2), 0), "a0"),))),
+    "gate-operand-bool": (None, None, "qubit index must be an integer, got True",
+                          lambda: Gate("cnot", (1, True))),
+    "gate-operand-float": (None, None, "qubit index must be an integer, got 1.0",
+                           lambda: Gate("cnot", (1, 1.0))),
     "cnot-distinct": ("qubits 1\ncnot 0 0\n", (2, 8),
                       "cnot operands must be distinct: (0, 0)", lambda: cnot(0, 0)),
     "targets-distinct": ("qubits 2\nassert_entangled 0 0 parity 0\n", (2, 20),
@@ -299,6 +308,19 @@ def test_out_of_range_qubit_reported_before_operand_rules():
         parse("qubits 2\ncnot 5 5\n")
     assert (info.value.line, info.value.column) == (2, 6)
     assert info.value.message == "qubit 5 out of range for 2-qubit circuit"
+
+
+@pytest.mark.parametrize("source, column", [
+    ("qubits 2\ncnot 5", 6),
+    ("qubits 2\nmeasure 5", 9),
+    ("qubits 2\nassert_classical 5 == x", 18),
+], ids=["cnot", "measure", "classical"])
+def test_statement_reports_first_error_in_reading_order(source, column):
+    # Each statement breaks a token rule after its qubit; the qubit comes first.
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.message, info.value.line, info.value.column) == (
+        "qubit 5 out of range for 2-qubit circuit", 2, column)
 
 
 class TestRoundTrip:

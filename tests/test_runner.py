@@ -933,3 +933,11 @@ class TestRenderReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             render_report(table1_stats(), format="yaml")
+
+    @pytest.mark.parametrize("format", ["table", "json"])
+    def test_expected_string_rejected(self, format):
+        # Iterated, "11" would be the one bitstring "1" and mark the 11 row
+        # as unexpected data.
+        stats = run_shots(lowered(BELL_SOURCE), 100, 4)
+        with pytest.raises(ValueError, match="collection of bitstrings"):
+            render_report(stats, format=format, expected="11")
