@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .gates import Gate, _check_non_negative, _check_qubits, _is_index, cnot, h
+from .gates import Gate, _check_non_negative, _check_qubits, _is_index, cnot, h, x
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,8 +60,10 @@ class AssertionSpec:
     `expected` is the asserted bit for CLASSICAL_EQUALS, the asserted
     parity for ENTANGLED (0 checks a|0...0> + b|1...1>, 1 the odd-parity
     analogue), and None for UNIFORM_SUPERPOSITION (always asserts |+>).
-    A bit follows the integer rule of qubit indices (an int or a numpy
-    integer, not a bool) and is stored as an int.
+    A target is a non-negative integer, since a negative one would alias
+    the ANCILLA placeholder, and a bit is 0 or 1; both follow the integer
+    rule of qubit indices (an int or a numpy integer, not a bool) and are
+    stored as ints.  A spec that exists is valid.
     """
 
     kind: AssertionKind
@@ -69,11 +71,9 @@ class AssertionSpec:
     expected: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-        # Only integer targets can repeat: True == 1 and 1.0 == 1, but
-        # `build_gadget` rejects those with the integer rule's message.
-        indices = [t for t in self.targets if _is_index(t)]
-        if len(set(indices)) != len(indices):
+        targets = tuple(_check_non_negative(t, "assertion target") for t in self.targets)
+        object.__setattr__(self, "targets", targets)
+        if len(set(targets)) != len(targets):
             raise ValueError(f"assertion targets must be distinct: {self.targets}")
         entangled = self.kind is AssertionKind.ENTANGLED
         if entangled and len(self.targets) < 2:
@@ -92,14 +92,14 @@ class AssertionSpec:
 
 @dataclass(frozen=True)
 class AssertionGadget:
-    """Ancilla preparation plus the gate sequence implementing one check.
+    """The gate sequence implementing one check, on an ancilla that starts
+    in |0> (a check that wants it in |1> starts with an x on it).
 
     Gates reference the ancilla through the ANCILLA placeholder; bind()
     substitutes the concrete index once the ancilla is allocated.  The
     ancilla measurement is implicit at the end: 1 means assertion error.
     """
 
-    ancilla_init: int
     gates: tuple[Gate, ...]
 
     def bind(self, ancilla: int) -> tuple[Gate, ...]:
@@ -142,31 +142,30 @@ def build_superposition_assertion(q: int) -> AssertionGadget:
 def build_gadget(spec: AssertionSpec) -> AssertionGadget:
     """The gadget that checks `spec`, with `a` standing for ANCILLA:
 
-    ======================== ========  ===========================================
-    kind, targets            ancilla   gates
-    ======================== ========  ===========================================
-    CLASSICAL_EQUALS q       expected  cnot(q, a)
-    ENTANGLED t1 .. tk       expected  cnot(t1, a) .. cnot(tk, a); odd k repeats
-                                       cnot(tk, a)
-    UNIFORM_SUPERPOSITION q  0         cnot(q, a), h(q), h(a), cnot(q, a)
-    ======================== ========  ===========================================
+    ======================== ===================================================
+    kind, targets            gates
+    ======================== ===================================================
+    CLASSICAL_EQUALS q       [x(a) if expected], cnot(q, a)
+    ENTANGLED t1 .. tk       [x(a) if expected], cnot(t1, a) .. cnot(tk, a);
+                             odd k repeats cnot(tk, a)
+    UNIFORM_SUPERPOSITION q  cnot(q, a), h(q), h(a), cnot(q, a)
+    ======================== ===================================================
 
-    The ancilla column is the state it is prepared in.  A target must be a
-    non-negative integer, since a negative one would alias the placeholder.
+    The ancilla starts in |0>, so a leading x(a) prepares it as the expected
+    bit 1.
     """
-    for t in spec.targets:
-        _check_non_negative(t, "assertion target")
     if spec.kind is AssertionKind.UNIFORM_SUPERPOSITION:
         (q,) = spec.targets
-        return AssertionGadget(0, (cnot(q, ANCILLA), h(q), h(ANCILLA), cnot(q, ANCILLA)))
+        return AssertionGadget((cnot(q, ANCILLA), h(q), h(ANCILLA), cnot(q, ANCILLA)))
     targets = spec.targets
     if spec.kind is AssertionKind.ENTANGLED and len(targets) % 2:
         targets += targets[-1:]
-    return AssertionGadget(spec.expected, tuple(cnot(t, ANCILLA) for t in targets))
+    prepare = (x(ANCILLA),) if spec.expected else ()
+    return AssertionGadget(prepare + tuple(cnot(t, ANCILLA) for t in targets))
 
 
 def apply_gadget(state: StateVector, gadget: AssertionGadget) -> StateVector:
-    """Run a gadget's gates against `state` with a fresh ancilla appended.
+    """Run a gadget's gates against `state` with a fresh |0> ancilla appended.
 
     The ancilla becomes qubit ``state.num_qubits`` of the returned joint
     pre-measurement state; measuring it (1 = error) completes the check.
@@ -174,7 +173,7 @@ def apply_gadget(state: StateVector, gadget: AssertionGadget) -> StateVector:
     from .state import apply_gate, ket, tensor
 
     anc = state.num_qubits
-    joint = tensor(state, ket("1" if gadget.ancilla_init else "0"))
+    joint = tensor(state, ket("0"))
     for gate in gadget.bind(anc):
         joint = apply_gate(joint, gate)
     return joint

@@ -21,22 +21,21 @@ class InvariantViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Gate:
-    """A named gate with concrete qubit operands (control first for cnot)."""
+    """A named gate with concrete qubit operands (control first for cnot),
+    stored as ints."""
 
     name: str
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
+        qubits = tuple(self.qubits)
         arity = GATE_ARITY.get(self.name)
         if arity is None:
             raise ValueError(f"unknown gate {self.name!r}")
-        if len(self.qubits) != arity:
-            raise ValueError(
-                f"{self.name} expects {arity} operand(s), got {len(self.qubits)}"
-            )
-        for q in self.qubits:  # no range: a gadget's ANCILLA placeholder is -1
-            _check_index(q)
+        if len(qubits) != arity:
+            raise ValueError(f"{self.name} expects {arity} operand(s), got {len(qubits)}")
+        # No range: a gadget's ANCILLA placeholder is -1.
+        object.__setattr__(self, "qubits", tuple(map(_check_index, qubits)))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.name} operands must be distinct: {self.qubits}")
 
@@ -91,10 +90,11 @@ def _is_index(value) -> bool:
     return np is not None and isinstance(value, np.integer)
 
 
-def _check_index(q, what: str = "qubit") -> None:
-    """Reject `q` unless it follows the integer rule of indices."""
+def _check_index(q, what: str = "qubit") -> int:
+    """The integer rule of indices: `q` as an int, or a ValueError."""
     if not _is_index(q):
         raise ValueError(f"{what} index must be an integer, got {q!r}")
+    return int(q)
 
 
 def _check_qubits(n: int, qubits, what: str = "qubit", of: str = "state") -> None:

@@ -15,10 +15,11 @@ Files use the ``.qac`` extension, UTF-8 text.  Assertions without an
 explicit label get ``a<i>`` where i is the assertion's 0-based position.
 
 Lowering replaces every assertion with its gadget: a fresh ancilla qubit
-appended above the existing ones (in assertion order), an x gate when the
-ancilla starts in |1>, the gadget's gates, and a measurement of the
-ancilla into the reserved creg ``__assert_<label>``.  Cregs with that
-prefix are treated as assertion outcomes everywhere (1 = fail).
+appended above the existing ones (in assertion order), the gadget's gates
+(an expected bit of 1 starts them with an x on the ancilla), and a
+measurement of the ancilla into the reserved creg ``__assert_<label>``.
+Cregs with that prefix are treated as assertion outcomes everywhere
+(1 = fail).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .assertions import AssertionKind, AssertionSpec, build_gadget
-from .gates import GATE_ARITY, MAX_QUBITS, Gate, _check_num_qubits, _check_qubits, x
+from .gates import GATE_ARITY, MAX_QUBITS, Gate, _check_num_qubits, _check_qubits
 
 ASSERT_CREG_PREFIX = "__assert_"
 
@@ -380,8 +381,6 @@ def lower_assertions(circuit: Circuit) -> Circuit:
         ancilla = next_ancilla
         next_ancilla += 1
         creg = ASSERT_CREG_PREFIX + instr.label
-        if gadget.ancilla_init:
-            instructions.append(GateInstr(x(ancilla), instr.span))
         instructions.extend(GateInstr(g, instr.span) for g in gadget.bind(ancilla))
         instructions.append(MeasureInstr(ancilla, creg, instr.span))
     return Circuit(next_ancilla, tuple(instructions))

@@ -93,7 +93,7 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("gate_flip_p", "readout_flip_p"):
             p = getattr(self, name)
-            if type(p) is bool or not isinstance(p, (int, float, np.floating)):
+            if not (_is_index(p) or isinstance(p, (float, np.floating))):
                 raise ValueError(f"{name} must be a real number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")

@@ -76,10 +76,17 @@ SHOT_BLOCK = 4096
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Classical bits of one shot: creg values plus pass/fail per assertion."""
+    """Classical bits of one shot, by creg name in creg order.  The creg
+    ``__assert_<label>`` holds assertion <label>, so assertion_outcomes
+    (pass or fail per label) is read off those cregs."""
 
     creg_values: dict[str, int]
-    assertion_outcomes: dict[str, str]
+
+    @property
+    def assertion_outcomes(self) -> dict[str, str]:
+        names = tuple(self.creg_values)
+        return {label: "fail" if self.creg_values[names[i]] else "pass"
+                for i, label in _split_cregs(names)[1]}
 
 
 @dataclass(frozen=True)
@@ -435,15 +442,12 @@ def run_single(
     master_seed, shot_index = _check_stream_args(master_seed=master_seed,
                                                  shot_index=shot_index)
     program = _ShotProgram(circuit, model)
-    creg_names = program.creg_names
     shot = (RngStream.for_shot(master_seed, shot_index), 0)
     ((final, projected, ((_, flips),)),) = program.walk(
         [shot], program.split_shots, len(program.steps))
     record = projected ^ flips
-    creg_values = {name: _bit(record, i) for i, name in enumerate(creg_names)}
-    _, assertions = _split_cregs(creg_names)
-    outcomes = {label: "fail" if _bit(record, i) else "pass" for i, label in assertions}
-    return ShotRecord(creg_values, outcomes), program.full_state(final)
+    creg_values = {name: _bit(record, i) for i, name in enumerate(program.creg_names)}
+    return ShotRecord(creg_values), program.full_state(final)
 
 
 def merge_statistics(a: RunStatistics, b: RunStatistics) -> RunStatistics:

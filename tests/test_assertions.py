@@ -29,6 +29,7 @@ from qassert import (
     prob_one,
     states_equal_up_to_global_phase,
     tensor,
+    x,
 )
 
 from helpers import assert_same_state, sv
@@ -54,15 +55,13 @@ def ghz_state(n: int, a: complex, b: complex):
 class TestBuilders:
     def test_classical_structure(self):
         gadget = build_classical_assertion(2, 0)
-        assert gadget.ancilla_init == 0
         assert gadget.gates == (cnot(2, ANCILLA),)
 
     def test_classical_expected_one_inits_ancilla(self):
-        assert build_classical_assertion(0, 1).ancilla_init == 1
+        assert build_classical_assertion(0, 1).gates == (x(ANCILLA), cnot(0, ANCILLA))
 
     def test_entanglement_structure_two_targets(self):
         gadget = build_entanglement_assertion((0, 1), 0)
-        assert gadget.ancilla_init == 0
         assert gadget.gates == (cnot(0, ANCILLA), cnot(1, ANCILLA))
 
     def test_entanglement_odd_targets_pad_to_even(self):
@@ -80,11 +79,11 @@ class TestBuilders:
         assert gadget.cnot_count() % 2 == 0
 
     def test_entanglement_parity_one_inits_ancilla(self):
-        assert build_entanglement_assertion((0, 1), 1).ancilla_init == 1
+        gadget = build_entanglement_assertion((0, 1), 1)
+        assert gadget.gates == (x(ANCILLA), cnot(0, ANCILLA), cnot(1, ANCILLA))
 
     def test_superposition_structure(self):
         gadget = build_superposition_assertion(0)
-        assert gadget.ancilla_init == 0
         assert gadget.gates == (cnot(0, ANCILLA), h(0), h(ANCILLA), cnot(0, ANCILLA))
 
     def test_entanglement_needs_two_targets(self):
@@ -154,14 +153,33 @@ class TestSpecValidation:
             AssertionSpec(AssertionKind.ENTANGLED, (0, 1), bit)
 
     # True == 1 and 1.0 == 1, but neither is an index, so the pair is not a
-    # duplicate: it reaches the integer rule, as either target does alone.
+    # duplicate: it breaks the integer rule, as either target does alone.
     @pytest.mark.parametrize("other", [True, 1.0])
     def test_only_integer_targets_can_repeat(self, other):
-        spec = AssertionSpec(AssertionKind.ENTANGLED, (1, other), 0)
         with pytest.raises(ValueError) as info:
-            build_gadget(spec)
+            AssertionSpec(AssertionKind.ENTANGLED, (1, other), 0)
         assert str(info.value) == (
             f"assertion target must be a non-negative integer, got {other!r}")
+
+    # The spec owns the target rule, so a spec that exists is valid.
+    @pytest.mark.parametrize("target", [-1, 1.5, True])
+    @pytest.mark.parametrize("kind, targets, bit", [
+        (AssertionKind.CLASSICAL_EQUALS, (), 0),
+        (AssertionKind.ENTANGLED, (2,), 1),
+        (AssertionKind.UNIFORM_SUPERPOSITION, (), None),
+    ], ids=["classical", "entangled", "superposition"])
+    def test_spec_rejects_what_is_not_a_target(self, kind, targets, bit, target):
+        with pytest.raises(ValueError) as info:
+            AssertionSpec(kind, (*targets, target), bit)
+        assert str(info.value) == (
+            f"assertion target must be a non-negative integer, got {target!r}")
+
+    def test_numpy_targets_are_stored_as_ints(self):
+        spec = AssertionSpec(AssertionKind.ENTANGLED, (np.int64(0), 1), 0)
+        assert spec.targets == (0, 1)
+        assert all(type(t) is int for t in spec.targets)
+        assert all(type(q) is int
+                   for g in build_gadget(spec).gates for q in g.qubits)
 
     def test_superposition_takes_no_expected(self):
         with pytest.raises(ValueError, match="no expected"):
@@ -212,6 +230,34 @@ class TestSuperpositionStages:
 
 def sv_amps(terms):
     return sv({k: complex(v) for k, v in terms.items()}).amps
+
+
+class TestApplyGadget:
+    """apply_gadget appends a |0> ancilla and runs the gadget's gates, so a
+    gadget's leading x on the ancilla is what prepares the expected bit 1."""
+
+    # Each gadget with the bit its ancilla must start in.
+    GADGETS = {
+        "classical-0": (build_classical_assertion(1, 0), 0),
+        "classical-1": (build_classical_assertion(1, 1), 1),
+        "entanglement-0": (build_entanglement_assertion((0, 1, 2), 0), 0),
+        "entanglement-1": (build_entanglement_assertion((0, 1, 2), 1), 1),
+        "superposition": (build_superposition_assertion(1), 0),
+    }
+
+    @pytest.mark.parametrize("name", GADGETS)
+    def test_ancilla_starts_in_the_expected_bit(self, name):
+        gadget, bit = self.GADGETS[name]
+        gates = gadget.bind(3)
+        if bit:
+            assert gates[0] == x(3)
+            gates = gates[1:]
+        rng = np.random.default_rng(5)
+        st = from_amplitudes(rng.normal(size=8) + 1j * rng.normal(size=8), normalize=True)
+        expected = tensor(st, ket(str(bit)))
+        for gate in gates:
+            expected = apply_gate(expected, gate)
+        np.testing.assert_array_equal(apply_gadget(st, gadget).amps, expected.amps)
 
 
 class TestClassicalAssertion:

@@ -32,6 +32,8 @@ class TestModelValidation:
         ("gate_flip_p", "0.1", "must be a real number"),
         ("gate_flip_p", True, "must be a real number"),
         ("readout_flip_p", False, "must be a real number"),
+        ("gate_flip_p", np.True_, "must be a real number"),
+        ("readout_flip_p", np.False_, "must be a real number"),
         ("readout_flip_p", 1 + 0j, "must be a real number"),
         ("readout_flip_p", float("nan"), "must be in \\[0, 1\\]"),
         ("depolarizing", "no", "must be a bool"),
@@ -45,6 +47,12 @@ class TestModelValidation:
     @pytest.mark.parametrize("p", [0, 1, 0.5, np.float64(0.25), np.float32(0.5)])
     def test_real_probabilities_accepted(self, p):
         assert NoiseModel(gate_flip_p=p, readout_flip_p=p).gate_flip_p == p
+
+    # A numpy integer is a real number, as it is an index everywhere else.
+    @pytest.mark.parametrize("p", [np.int64(0), np.int32(1), np.uint8(0)])
+    def test_numpy_integer_probabilities_accepted(self, p):
+        model = NoiseModel(gate_flip_p=p, readout_flip_p=p)
+        assert model.gate_flip_p == model.readout_flip_p == p
 
     def test_defaults_are_noiseless(self):
         model = NoiseModel()

@@ -200,6 +200,15 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(new_basis_state(1), h(1))
 
+    # Gate checks no range, so the ANCILLA placeholder -1 is an operand too.
+    @pytest.mark.parametrize("name, qubits", [
+        ("h", (np.int64(0),)), ("cnot", (np.uint8(3), -1)), ("cnot", (-1, np.int32(2))),
+    ])
+    def test_operands_stored_as_ints(self, name, qubits):
+        gate = Gate(name, qubits)
+        assert all(type(q) is int for q in gate.qubits)
+        assert gate == Gate(name, tuple(map(int, qubits)))
+
 
 class TestGateAction:
     def test_h_on_zero_gives_plus(self):
@@ -373,11 +382,23 @@ INDEX_ENTRY_POINTS = {
 }
 
 
+# The oracles take their target in an AssertionSpec, which rejects a target
+# that is not a non-negative integer before the oracle sees the state.
+SPEC_TARGETS = {"predicted_error_probability", "predicted_pass_state"}
+
+
+def _not_an_index(entry, q):
+    """What `entry` says when given `q`, which breaks the integer rule."""
+    if entry in SPEC_TARGETS:
+        return f"assertion target must be a non-negative integer, got {q!r}"
+    return f"{INDEX_ENTRY_POINTS[entry][0]} index must be an integer, got {q!r}"
+
+
 # Every public entry point that takes an integer index or bit, as (call on
 # a 2-qubit state and the integer, what it says when given True).
 INTEGER_ARGUMENTS = {
-    **{name: (call, f"{what} index must be an integer, got True")
-       for name, (what, call) in INDEX_ENTRY_POINTS.items()},
+    **{name: (call, _not_an_index(name, True))
+       for name, (_, call) in INDEX_ENTRY_POINTS.items()},
     "new_basis_state": (lambda st, i: new_basis_state(st.num_qubits, i),
                         "basis_index must be an integer in [0, 4), got True"),
     "postselect-bit": (lambda st, bit: postselect(st, 0, bit), "bit must be 0 or 1, got True"),
@@ -393,14 +414,16 @@ class TestIndexChecks:
         what, call = INDEX_ENTRY_POINTS[entry]
         with pytest.raises(ValueError) as info:
             call(ket("0+"), q)
-        assert str(info.value) == f"{what} {q} out of range for 2-qubit state"
+        if entry in SPEC_TARGETS and q < 0:
+            assert str(info.value) == _not_an_index(entry, q)
+        else:
+            assert str(info.value) == f"{what} {q} out of range for 2-qubit state"
 
     @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
     def test_non_integer_index(self, entry):
-        what, call = INDEX_ENTRY_POINTS[entry]
         with pytest.raises(ValueError) as info:
-            call(ket("0+"), 1.0)
-        assert str(info.value) == f"{what} index must be an integer, got 1.0"
+            INDEX_ENTRY_POINTS[entry][1](ket("0+"), 1.0)
+        assert str(info.value) == _not_an_index(entry, 1.0)
 
     @pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
     @pytest.mark.parametrize("q", [0, np.int64(0)])
