@@ -21,10 +21,14 @@ Without gate noise they cost none: a qubit that only takes `x` and
 out of the state, and its measurement reads the parity of its controls
 (deferred measurement).  `_ShotProgram` compiles the plan in one pass
 over the instructions into one flat list of alloc, gate, measurement and
-gate-noise steps.  A shot's record is fixed at its last measurement, so
-`run_shots` and `exact_distribution` stop there; only `run_single`, which
-returns the final state, runs the steps after it.  `split_shots` says how
-a readout flip enters a shot's record.
+gate-noise steps.  A run of consecutive cnots onto one target is one gate
+step, one pass over the state; a z or y that gate noise fires on the
+target inside the run is applied after it with a z on each later control,
+so every draw and its order stay as they were.  A shot's record is
+fixed at its last measurement, so `run_shots` and `exact_distribution`
+stop there; only `run_single`, which returns the final state, runs the
+steps after it.  `split_shots` says how a readout flip enters a shot's
+record.
 
 One engine walks the plan's outcome tree (`_ShotProgram.walk`): a gate
 runs once per tree node, and at a branch step a split rule names the
@@ -59,6 +63,7 @@ from .state import (
     StateVector,
     _alloc_qubit,
     _apply_gate_inplace,
+    _apply_parity_x,
     _checked_probabilities,
     _drop_qubit,
     _parity_class,
@@ -203,6 +208,10 @@ def _enter(amps, projected: int, step, event, copy: bool):
         amps = amps.copy()
     if event is not None:
         _apply_gate_inplace(amps, Gate(event, (step[1],)))
+        # The later cnots of a run carry a z or y on their target on to
+        # their controls as a z (Z_t -> Z_c Z_t); their step ran already.
+        for c in step[2] if event != "x" else ():
+            _apply_gate_inplace(amps, Gate("z", (c,)))
     return amps, projected
 
 
@@ -230,6 +239,9 @@ class _ShotProgram:
       projected bit of `slot` (0 for None) XOR `flip`, so an `x` on a
       waiting qubit costs no kernel;
     - ("g", gate on positions) runs a gate;
+    - ("x", control positions, target position) runs a maximal run of
+      consecutive cnots onto one target with distinct controls, a flush's
+      included, in one pass (`state._apply_parity_x`);
     - ("m", position, creg slot) measures a qubit and drops it: it leaves
       the state, and the qubits above it move down one position.  The
       slot counts the measurements before it, since `creg_names` is in
@@ -238,8 +250,12 @@ class _ShotProgram:
       deferred qubit: it reads the parity of its controls XOR the flip
       XOR its re-entry bit.  `walk` folds that constant into the parity
       class (`state._parity_class`) before the split rule draws on it;
-    - ("n", position), under gate noise only, is the noise site after a
-      gate on each qubit the gate touches.
+    - ("n", position, later controls), under gate noise only, is the noise
+      site after a gate on each qubit the gate touches.  The sites of an
+      "x" step follow it in program order.  A site on its target lists
+      the controls of the run's later cnots, which a z or y fired there
+      reaches as a z on each (a cnot maps Z_t to Z_c Z_t and Y_t to
+      Z_c Y_t); the later controls are () everywhere else.
     Measurements and noise sites are the branch steps.  The last steps
     flush every qubit still outside, in index order.  `layout` is the
     logical qubit at each position after them.  `recorded` is the index
@@ -276,13 +292,35 @@ class _ShotProgram:
         layout: list[int] = []
         steps, outside = [], dict.fromkeys(range(self.num_qubits), (frozenset(), 0, None))
         slot = peak = self.recorded = self.peak_width = 0
+        # The open run of cnots: (len(steps) after its last cnot, its target,
+        # its step's index, its controls).
+        run = None
+
+        def gate(name, positions):
+            nonlocal run
+            c, t = positions[0], positions[-1]
+            if name == "cnot" and run and run[:2] == (len(steps), t) and c not in run[3]:
+                # Only the run's noise sites came after its step: those on
+                # t now precede this cnot.
+                at, controls = run[2], run[3] + (c,)
+                steps[at] = ("x", controls, t)
+                steps[at + 1:] = [("n", q, later + (c,) if q == t else later)
+                                  for _, q, later in steps[at + 1:]]
+            else:
+                at, controls = len(steps), (c,)
+                steps.append(("g", Gate(name, positions)))
+            if gate_noise:
+                steps.extend(("n", pos, ()) for pos in positions)
+            if name == "cnot":
+                run = (len(steps), t, at, controls)
 
         def flush(q):
             controls, flip, at = outside.pop(q)
             layout.append(q)
             top = len(layout) - 1
             steps.append(("a", at, flip))
-            steps.extend(("g", Gate("cnot", (layout.index(c), top))) for c in sorted(controls))
+            for c in sorted(controls):
+                gate("cnot", (layout.index(c), top))
 
         for instr in circuit.instructions:
             is_gate = isinstance(instr, GateInstr)
@@ -311,10 +349,7 @@ class _ShotProgram:
                     continue
                 steps.append(("p", tuple(layout.index(c) for c in controls), slot, flip, at))
             elif is_gate:
-                positions = tuple(layout.index(u) for u in qubits)
-                steps.append(("g", Gate(instr.gate.name, positions)))
-                if gate_noise:
-                    steps.extend(("n", pos) for pos in positions)
+                gate(instr.gate.name, tuple(layout.index(u) for u in qubits))
                 continue
             else:
                 steps.append(("m", layout.index(q), slot))
@@ -368,6 +403,9 @@ class _ShotProgram:
                 k += 1
                 if step[0] == "g":
                     _apply_gate_inplace(amps, step[1])
+                    continue
+                if step[0] == "x":
+                    _apply_parity_x(amps, step[1], step[2])
                     continue
                 if step[0] == "a":
                     amps = _alloc_qubit(amps, step[2] ^ _bit(projected, step[1]))

@@ -1,7 +1,8 @@
-"""Dense statevector core: states, unitary gate application, and every
-qubit-axis primitive (branch weights, projection, dropping a qubit and
-tensoring one in, and the same weights and projection for the parity of
-several qubits).  The gates and the index checks are in :mod:`qassert.gates`.
+"""Dense statevector core: states, unitary gate application (a run of
+cnots onto one target as one pass), and every qubit-axis primitive (branch
+weights, projection, dropping a qubit and tensoring one in, and the same
+weights and projection for the parity of several qubits).  The gates and
+the index checks are in :mod:`qassert.gates`.
 
 Bit convention
 --------------
@@ -228,6 +229,22 @@ def _parity_class(size: int, positions, flip: int) -> np.ndarray:
     for p in range(size.bit_length() - 1):
         ones = np.concatenate((ones, ~ones if p in positions else ones))
     return ones
+
+
+def _apply_parity_x(amps: np.ndarray, controls, t: int) -> None:
+    """Apply `cnot c t` for each c in `controls` (distinct, none of them t)
+    in one pass: swap the halves of qubit t wherever the parity of the
+    controls reads 1.  Like the cnots, it only moves amplitudes."""
+    view = amps.reshape(-1, 2, 1 << t)
+    # The parity class over the indices with bit t removed.
+    ones = _parity_class(amps.size >> 1, [c - (c > t) for c in controls], 0)
+    ones = ones.reshape(-1, 1 << t)
+    a0, a1 = view[:, 0, :], view[:, 1, :]
+    # One temporary: a second one makes the allocator hand back fresh
+    # pages on many calls once a long-lived process has fragmented its heap.
+    swapped = np.where(ones, a1, a0)
+    np.copyto(a1, a0, where=ones)
+    a0[...] = swapped
 
 
 def _checked_probabilities(amps: np.ndarray, q) -> tuple[float, float]:

@@ -11,9 +11,11 @@ import random
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qassert import (
+    NoiseModel,
     exact_distribution,
     lower_assertions,
     parse,
@@ -128,6 +130,40 @@ def test_noisy_sampling_tracks_density_matrix(corpus_files, model):
             freq = stats.counts.get(key, 0) / shots
             assert abs(freq - p) < binomial_4sigma(p, shots) + 1e-9, (path.name, key)
         assert set(stats.counts) <= set(dist), path.name
+
+
+NOISY_MODELS = {
+    "x": NoiseModel(gate_flip_p=0.2, readout_flip_p=0.1),
+    "depolarizing": NoiseModel(gate_flip_p=0.2, readout_flip_p=0.1, depolarizing=True),
+}
+
+
+@pytest.mark.parametrize("model", NOISY_MODELS)
+@pytest.mark.parametrize("case", range(12))
+def test_noisy_random_circuits_match_reference_draw_for_draw(case, model):
+    # At p = 0.2 errors fire often, inside the cnot runs of the assertions
+    # too; the check over every qubit makes sure there is such a run.  The
+    # walk applies a run as one step, and a z or y fired on its target
+    # inside it as a z on each later control; the h before each closing
+    # measurement turns such a z into a bit flip the record shows.
+    rng = random.Random(6000 + case)
+    n = rng.randint(2, 4)
+    source = random_source(rng, n, rng.randint(6, 14))
+    targets = " ".join(map(str, rng.sample(range(n), n)))
+    source += f"assert_entangled {targets} parity {rng.randrange(2)}\n"
+    source += "".join(f"h {q}\nmeasure {q} -> t{q}\n" for q in range(n))
+    circuit = lower_assertions(parse(source))
+    seed, model = 40 + case, NOISY_MODELS[model]
+    shots = reference_shots(circuit, seed, 60, model)
+    expected = dict(Counter(key for key, _, _ in shots))
+    assert run_shots(circuit, 60, seed, model).counts == expected, source
+    for i, (key, state, _) in enumerate(shots):
+        record, final = run_single(circuit, seed, model, shot_index=i)
+        assert "".join(str(record.creg_values[c]) for c in circuit.creg_names) == key, (source, i)
+        # Every state here is a stabilizer state, whose nonzero amplitudes
+        # share one magnitude, and the two simulators agree on them exactly;
+        # only the sign of a zero may differ, which array_equal ignores.
+        assert np.array_equal(final.amps, state), (source, i)
 
 
 def test_parser_never_crashes_on_garbage():

@@ -371,16 +371,22 @@ class TestLiveness:
 
 
 def record_kernels(monkeypatch) -> list:
-    """The list that every gate kernel the runner applies from now on is
-    appended to, in order."""
+    """The list that every kernel the runner applies from now on is
+    appended to, in order: a gate, or a fused run of cnots onto one target
+    as ("x", controls, target)."""
     applied = []
-    apply = runner._apply_gate_inplace
+    apply, apply_run = runner._apply_gate_inplace, runner._apply_parity_x
 
     def counting(amps, gate):
         applied.append(gate)
         apply(amps, gate)
 
+    def counting_run(amps, controls, t):
+        applied.append(("x", controls, t))
+        apply_run(amps, controls, t)
+
     monkeypatch.setattr(runner, "_apply_gate_inplace", counting)
+    monkeypatch.setattr(runner, "_apply_parity_x", counting_run)
     return applied
 
 
@@ -503,6 +509,43 @@ class TestOutcomeTree:
         run_single(circuit, 3, MODELS[model])
         assert applied == kernels
 
+    # Consecutive cnots onto one live target, with distinct controls, are one
+    # kernel; a repeated control starts a new run.
+    @pytest.mark.parametrize("model", ["none", "readout"])
+    def test_cnot_run_is_one_kernel(self, model, monkeypatch):
+        circuit = parse("qubits 4\nh 0\nh 1\nh 2\nh 3\ncnot 0 3\ncnot 2 3\ncnot 1 3\n"
+                        "cnot 2 3\nh 3\nmeasure 3 -> a\n")
+        applied = record_kernels(monkeypatch)
+        run_single(circuit, 3, MODELS[model])
+        assert applied == [h(0), h(1), h(2), h(3), ("x", (0, 2, 1), 3), cnot(2, 3), h(3)]
+
+    # Under gate noise every tree node that reaches a k-target entanglement
+    # check runs one kernel for its k cnots, however often the noise before
+    # it has split the tree.
+    def test_wide_check_is_one_kernel_per_tree_node(self, monkeypatch):
+        k = 6
+        circuit = lowered(f"qubits {k}\n" + "".join(f"h {q}\n" for q in range(k))
+                          + "assert_entangled " + " ".join(map(str, range(k))) + " parity 0\n"
+                          + "".join(f"measure {q} -> m{q}\n" for q in range(k)))
+        program = runner._ShotProgram(circuit, MODELS["depolarizing"])
+        (at,) = [i for i, step in enumerate(program.steps) if step[0] == "x"]
+        assert program.steps[at] == ("x", tuple(range(k)), k)
+        # The run's first noise site follows its step: each node that ran
+        # the step splits there once.
+        nodes = []
+
+        def split(amps, step, group):
+            if step is program.steps[at + 1]:
+                nodes.append(step)
+            return program.split_shots(amps, step, group)
+
+        applied = record_kernels(monkeypatch)
+        block = [(RngStream.for_shot(7, i), 0) for i in range(500)]
+        assert sum(len(group) for *_, group in program.walk(block, split, program.recorded)) == 500
+        assert len(nodes) > 1
+        assert applied.count(("x", tuple(range(k)), k)) == len(nodes)
+        assert not any(cnot(c, k) in applied for c in range(k))
+
     # A shot's record is fixed at its last measurement, so the h, cnot and s
     # after it run only in run_single: in no noise model do they cost
     # run_shots a kernel per leaf or a draw.
@@ -559,14 +602,15 @@ class TestOutcomeTree:
 
 # Bell + assert_entangled under gate noise: every qubit is allocated before
 # its first gate, a noise site follows each touched qubit, and the ancilla
-# (position 2) is measured as a qubit.  The program ends by bringing each
-# logical qubit back at its projected bit, with no flip: qubit 0 at slot 1,
-# qubit 1 at slot 2 and the ancilla at slot 0.
+# (position 2) is measured as a qubit.  The two cnots onto the ancilla are
+# one step; a z or y on the ancilla after the first one reaches qubit 1 (the
+# second cnot's control) as a z.  The program ends by bringing each logical
+# qubit back at its projected bit, with no flip: qubit 0 at slot 1, qubit 1
+# at slot 2 and the ancilla at slot 0.
 BELL_NOISY_STEPS = (
-    ("a", None, 0), ("g", h(0)), ("n", 0),
-    ("a", None, 0), ("g", cnot(0, 1)), ("n", 0), ("n", 1),
-    ("a", None, 0), ("g", cnot(0, 2)), ("n", 0), ("n", 2),
-    ("g", cnot(1, 2)), ("n", 1), ("n", 2),
+    ("a", None, 0), ("g", h(0)), ("n", 0, ()),
+    ("a", None, 0), ("g", cnot(0, 1)), ("n", 0, ()), ("n", 1, ()),
+    ("a", None, 0), ("x", (0, 1), 2), ("n", 0, ()), ("n", 2, (1,)), ("n", 1, ()), ("n", 2, ()),
     ("m", 2, 0), ("m", 0, 1), ("m", 0, 2),
     ("a", 1, 0), ("a", 2, 0), ("a", 0, 0),
 )

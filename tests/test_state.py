@@ -38,6 +38,8 @@ from qassert import (
     z,
 )
 
+from qassert.state import _apply_parity_x
+
 from helpers import assert_same_state, sv
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -280,6 +282,29 @@ class TestGateProperties:
                 st = apply_gate(st, g(int(rng.integers(4))))
             norm_sq = float(np.sum(np.abs(st.amps) ** 2))
             assert abs(norm_sq - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_parity_x_moves_amplitudes_as_its_cnots_do(self, n):
+        # One pass of the fused kernel equals its cnots applied one by one,
+        # bit for bit, for every target and for controls below it, above
+        # it and on both sides of it.
+        rng = np.random.default_rng(n)
+        st = _random_state(rng, n)
+        for t in range(n):
+            below, above = list(range(t)), list(range(t + 1, n))
+            mixed = [c for c in below + above if rng.random() < 0.5]
+            if below and above:
+                mixed = sorted({*mixed, int(rng.choice(below)), int(rng.choice(above))})
+            for controls in (below, above, mixed):
+                if not controls:
+                    continue
+                controls = [int(c) for c in rng.permutation(controls)]
+                expected = st
+                for c in controls:
+                    expected = apply_gate(expected, cnot(c, t))
+                amps = st.amps.copy()
+                _apply_parity_x(amps, controls, t)
+                assert np.array_equal(amps, expected.amps), (t, controls)
 
     def test_single_qubit_gate_keeps_other_marginals(self):
         # On a product state, a gate on qubit q leaves other qubits'
