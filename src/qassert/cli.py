@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .gates import InvariantViolationError
-from .lang import Circuit, ParseError, _split_cregs, lower_assertions, parse, pretty_print
+from .lang import Circuit, ParseError, _check_expected, lower_assertions, parse, pretty_print
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -96,13 +96,7 @@ def _cmd_run(args) -> int:
             depolarizing=args.depolarizing,
         )
 
-    data_pos, _ = _split_cregs(lowered.creg_names)
-    data_cregs = tuple(lowered.creg_names[i] for i in data_pos)
-    for bits in args.expect:
-        if len(bits) != len(data_cregs) or any(ch not in "01" for ch in bits):
-            raise ValueError(
-                f"--expect {bits!r} must be a bitstring over the "
-                f"{len(data_cregs)} data creg(s) {' '.join(data_cregs) or '(none)'}")
+    accepted = _check_expected(args.expect, lowered.creg_names, "--expect")
     if args.filtered and not args.expect:
         raise ValueError("--filtered requires at least one --expect")
     if args.depolarizing and args.noise_gate_p is None:
@@ -112,7 +106,6 @@ def _cmd_run(args) -> int:
     stats = runner.run_shots(lowered, args.shots, args.seed, model)
     report = None
     if args.filtered:
-        accepted = set(args.expect)
         report = runner.compute_filter_report(stats, lambda data: data in accepted)
     meta = {
         "circuit": args.file,

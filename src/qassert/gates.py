@@ -90,6 +90,15 @@ def _is_index(value) -> bool:
     return np is not None and isinstance(value, np.integer)
 
 
+def _is_real(value) -> bool:
+    """The real-number rule for probabilities and tolerances: an integer (by
+    `_is_index`) or a float, a numpy floating scalar included; not a bool, a
+    complex number or a string."""
+    np = sys.modules.get("numpy")
+    return (_is_index(value) or isinstance(value, float)
+            or np is not None and isinstance(value, np.floating))
+
+
 def _check_index(q, what: str = "qubit") -> int:
     """The integer rule of indices: `q` as an int, or a ValueError."""
     if not _is_index(q):

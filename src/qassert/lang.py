@@ -48,6 +48,22 @@ def _split_cregs(
     return tuple(data), tuple(assertions)
 
 
+def _check_expected(expected, creg_names: tuple[str, ...], what: str = "expected") -> set[str]:
+    """The expected-data rule: `expected` is a collection of bitstrings, each
+    with one bit per data creg of `creg_names`, returned as a set.  A lone
+    string is refused, as iterating it would read its characters.  The
+    first bitstring that breaks the rule is named in the error, as `what`."""
+    if isinstance(expected, str):
+        raise ValueError(f"{what} must be a collection of bitstrings, got {expected!r}")
+    data = [creg_names[i] for i in _split_cregs(creg_names)[0]]
+    expected = list(expected)
+    for bits in expected:
+        if not isinstance(bits, str) or len(bits) != len(data) or bits.strip("01"):
+            raise ValueError(f"{what} {bits!r} must be a bitstring over the "
+                             f"{len(data)} data creg(s) {' '.join(data) or '(none)'}")
+    return set(expected)
+
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"\S+")
 # Plain ASCII decimal without leading zeros, so a token prints back as written.

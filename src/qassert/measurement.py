@@ -10,28 +10,32 @@ impossible rather than renormalized numerical dust.
 Noise is trajectory style: a `NoiseModel` puts a random Pauli (X, or X, Y
 or Z when depolarizing) on each qubit a gate touches with probability
 gate_flip_p, and flips each recorded bit with probability readout_flip_p.
+The model compiles these fields once into one channel per site kind,
+`gate_channel` and `readout_channel`: None when the channel cannot fire,
+else (p, rows), where each row is (event, cumulative upper bound) and the
+last bound is 1.0.
 
 Draw-order contract.  A shot draws uniforms from its own `RngStream` in
-program order:
-- a measurement draws one for its outcome, which is 1 iff the uniform is
-  below P(1); then, only when readout_flip_p > 0, one for its readout
-  flip, which happens iff that uniform is below readout_flip_p;
-- a gate, only when gate_flip_p > 0, draws one per touched qubit in
-  operand order, and an error fires iff it is below gate_flip_p; under
-  depolarizing noise a fired error draws one more right after it, which
-  picks X, Y or Z by the third of [0, 1) it falls in.
-A model with all probabilities zero therefore draws nothing beyond the
-outcomes and is bit-identical to running without a model.
+program order.  A measurement draws one for its outcome, which is 1 iff
+the uniform is below P(1); then the readout site of its recorded bit
+draws.  A gate then has one gate-noise site per touched qubit, in operand
+order.  A noise site draws by `_draw`: a channel that cannot fire draws
+nothing; otherwise the site draws one uniform and fires iff it is below p,
+and only a channel with more than one row draws a second uniform right
+after it, which picks the first row whose bound it is below.  X-only gate
+noise and the readout flip are one row; depolarizing noise is X, Y and Z
+with bounds 1/3, 2/3 and 1.  A model with all probabilities zero therefore
+draws nothing beyond the outcomes and is bit-identical to running without
+a model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from .gates import Gate, InvariantViolationError, _check_non_negative, _check_qubits, _is_index
+from .gates import (Gate, InvariantViolationError, _check_non_negative, _check_qubits,
+                    _is_index, _is_real)
 from .state import StateVector, _apply_gate_inplace, _checked_probabilities, _project
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
@@ -89,14 +93,21 @@ class NoiseModel:
     gate_flip_p: float = 0.0
     readout_flip_p: float = 0.0
     depolarizing: bool = False
+    # The channels the fields compile to (see the module docstring).
+    gate_channel: tuple | None = field(init=False, repr=False, compare=False)
+    readout_channel: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("gate_flip_p", "readout_flip_p"):
+        xyz = (("x", 1.0 / 3.0), ("y", 2.0 / 3.0), ("z", 1.0))
+        for name, channel, rows in (
+                ("gate_flip_p", "gate_channel", xyz if self.depolarizing else (("x", 1.0),)),
+                ("readout_flip_p", "readout_channel", (("flip", 1.0),))):
             p = getattr(self, name)
-            if not (_is_index(p) or isinstance(p, (float, np.floating))):
+            if not _is_real(p):
                 raise ValueError(f"{name} must be a real number, got {p!r}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
+            object.__setattr__(self, channel, (p, rows) if p > 0.0 else None)
         if type(self.depolarizing) is not bool:
             raise ValueError(f"depolarizing must be a bool, got {self.depolarizing!r}")
 
@@ -106,22 +117,20 @@ def _draw_outcome(p1: float, rng: RngStream) -> int:
     return 1 if rng.next_float() < p1 else 0
 
 
-def _draw_pauli(model: NoiseModel, rng: RngStream) -> str | None:
-    """The error on one touched qubit after a gate: "x", "y", "z" or None."""
-    if rng.next_float() >= model.gate_flip_p:
+def _draw(channel: tuple | None, rng: RngStream) -> str | None:
+    """The event one noise site of `channel` fires, or None; the module
+    docstring states what it draws."""
+    if channel is None or rng.next_float() >= channel[0]:
         return None
-    if not model.depolarizing:
-        return "x"
-    r = rng.next_float()
-    return "x" if r < 1.0 / 3.0 else ("y" if r < 2.0 / 3.0 else "z")
+    r = rng.next_float() if len(channel[1]) > 1 else 0.0
+    for event, bound in channel[1]:
+        if r < bound:
+            return event
 
 
 def apply_readout_noise(bit: int, model: NoiseModel, rng: RngStream) -> int:
     """A recorded measurement bit after its readout flip, if one is drawn."""
-    p = model.readout_flip_p
-    if p > 0.0 and rng.next_float() < p:
-        return bit ^ 1
-    return bit
+    return bit ^ (_draw(model.readout_channel, rng) is not None)
 
 
 def apply_gate_noise(
@@ -130,11 +139,10 @@ def apply_gate_noise(
     """Independently corrupt each touched qubit with probability gate_flip_p."""
     _check_qubits(state.num_qubits, touched)
     amps = state.amps.copy()
-    if model.gate_flip_p > 0.0:
-        for q in touched:
-            name = _draw_pauli(model, rng)
-            if name is not None:
-                _apply_gate_inplace(amps, Gate(name, (q,)))
+    for q in touched:
+        name = _draw(model.gate_channel, rng)
+        if name is not None:
+            _apply_gate_inplace(amps, Gate(name, (q,)))
     return StateVector(state.num_qubits, amps, copy=False)
 
 

@@ -54,10 +54,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .lang import Circuit, GateInstr, _split_cregs
+from .lang import Circuit, GateInstr, _check_expected, _split_cregs
 from .measurement import (BRANCH_PROBABILITY_FLOOR, NoiseModel, RngStream, _check_branch,
-                          _check_stream_args, _draw_outcome, _draw_pauli,
-                          apply_readout_noise)
+                          _check_stream_args, _draw, _draw_outcome)
 from .gates import Gate, _check_non_negative
 from .state import (
     StateVector,
@@ -286,9 +285,7 @@ class _ShotProgram:
             )
         self.creg_names = circuit.creg_names
         self.num_qubits = circuit.num_qubits
-        self.model = model
-        gate_noise = model is not None and model.gate_flip_p > 0.0
-        self.readout_noise = model is not None and model.readout_flip_p > 0.0
+        self.model = model or NoiseModel()
         layout: list[int] = []
         steps, outside = [], dict.fromkeys(range(self.num_qubits), (frozenset(), 0, None))
         slot = peak = self.recorded = self.peak_width = 0
@@ -309,7 +306,7 @@ class _ShotProgram:
             else:
                 at, controls = len(steps), (c,)
                 steps.append(("g", Gate(name, positions)))
-            if gate_noise:
+            if self.model.gate_channel is not None:
                 steps.extend(("n", pos, ()) for pos in positions)
             if name == "cnot":
                 run = (len(steps), t, at, controls)
@@ -326,7 +323,7 @@ class _ShotProgram:
             is_gate = isinstance(instr, GateInstr)
             qubits = instr.gate.qubits if is_gate else (instr.qubit,)
             q = qubits[-1]
-            defer = not gate_noise and q in outside and (
+            defer = self.model.gate_channel is None and q in outside and (
                 not is_gate or instr.gate.name in ("x", "cnot"))
             if not defer:
                 # The qubits whose basis value it may change: z, s and a
@@ -368,13 +365,14 @@ class _ShotProgram:
         the int `flips` is the shot's readout flip at creg slot i, and its
         record is its branch's projected bits XOR `flips`: a flip never
         splits the group, since it changes no state."""
+        gate_channel, readout_channel = self.model.gate_channel, self.model.readout_channel
         if step[0] == "n":
-            return _partition(group, [_draw_pauli(self.model, rng) for rng, _ in group])
+            return _partition(group, [_draw(gate_channel, rng) for rng, _ in group])
         _, where, slot = step
         probs = _checked_probabilities(amps, where)
         outcomes = [_draw_outcome(probs[1], rng) for rng, _ in group]
-        if self.readout_noise:
-            group = [(rng, flips ^ apply_readout_noise(0, self.model, rng) << slot)
+        if readout_channel is not None:
+            group = [(rng, flips ^ (_draw(readout_channel, rng) is not None) << slot)
                      for rng, flips in group]
         return [((outcome, _check_branch(probs[outcome])), shots)
                 for outcome, shots in _partition(group, outcomes)]
@@ -607,7 +605,7 @@ def _row_meaning(
 def _render_table(
     stats: RunStatistics,
     report: FilterReport | None,
-    expected: Iterable[str] | None,
+    expected: set[str] | None,
     meta: Mapping | None,
 ) -> str:
     lines = []
@@ -615,8 +613,6 @@ def _render_table(
         for key in sorted(meta):
             lines.append(f"# {key}: {meta[key]}")
     lines.append(f"shots: {stats.total_shots}")
-    if expected is not None:
-        expected = set(expected)
     fail_counts = stats.assertion_fail_counts
     if stats.creg_names:
         lines.append("cregs: " + " ".join(stats.creg_names))
@@ -647,7 +643,7 @@ def _render_table(
 def _render_json(
     stats: RunStatistics,
     report: FilterReport | None,
-    expected: Iterable[str] | None,
+    expected: set[str] | None,
     meta: Mapping | None,
 ) -> str:
     total = stats.total_shots
@@ -659,7 +655,7 @@ def _render_json(
         "counts": dict(sorted(stats.counts.items())),
         "rates": {k: v / total for k, v in sorted(stats.counts.items())} if total else {},
         "assertion_fail_counts": stats.assertion_fail_counts,
-        "expected": sorted(set(expected)) if expected is not None else None,
+        "expected": sorted(expected) if expected is not None else None,
         "filter": asdict(report) if report is not None else None,
         "meta": dict(meta) if meta else {},
     }
@@ -674,10 +670,10 @@ def render_report(
     meta: Mapping | None = None,
 ) -> str:
     """Render statistics as an aligned table or a deterministic JSON document.
-    `expected` is a collection of data bitstrings; a lone string is refused,
-    as iterating it would read its characters."""
-    if isinstance(expected, str):
-        raise ValueError(f"expected must be a collection of bitstrings, got {expected!r}")
+    `expected`, if given, is a collection of data bitstrings (see
+    `lang._check_expected`)."""
+    if expected is not None:
+        expected = _check_expected(expected, stats.creg_names)
     if format == "table":
         return _render_table(stats, report, expected, meta)
     if format == "json":

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import Gate, InvariantViolationError, _check_num_qubits, _check_qubits, _is_index
+from .gates import (Gate, InvariantViolationError, _check_num_qubits, _check_qubits, _is_index,
+                    _is_real)
 
 NORM_TOLERANCE = 1e-10
 
@@ -299,11 +300,21 @@ def _check_same_width(s1: StateVector, s2: StateVector) -> None:
         raise ValueError(f"qubit counts differ: {s1.num_qubits} vs {s2.num_qubits}")
 
 
+def _check_tol(tol) -> float:
+    """The tolerance rule: a finite real number (by `_is_real`) >= 0, as a
+    float, or a ValueError that names `tol`."""
+    if not _is_real(tol) or not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite real number >= 0, got {tol!r}")
+    return float(tol)
+
+
 def states_equal_up_to_global_phase(
     s1: StateVector, s2: StateVector, tol: float = 1e-12
 ) -> bool:
-    """True iff s1 = c * s2 element-wise within tol for some unit scalar c."""
+    """True iff s1 = c * s2 element-wise within tol for some unit scalar c;
+    tol follows `_check_tol`."""
     _check_same_width(s1, s2)
+    tol = _check_tol(tol)
     k = int(np.argmax(np.abs(s2.amps)))
     phase = s1.amps[k] * np.conj(s2.amps[k])
     mag = abs(phase)
@@ -324,9 +335,11 @@ def factor_out_qubit(
 
     Returns (bit, state of the remaining qubits).  Raises ValueError when
     more than `tol` probability mass lies in the other branch, i.e. the
-    qubit is still in superposition or entangled.
+    qubit is still in superposition or entangled, or when tol breaks
+    `_check_tol`.
     """
     _check_qubits(state.num_qubits, (q,))
+    tol = _check_tol(tol)
     if state.num_qubits == 1:
         raise ValueError("cannot factor the only qubit out of a 1-qubit state")
     weights = _checked_probabilities(state.amps, q)

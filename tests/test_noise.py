@@ -1,5 +1,8 @@
 """Tests for stochastic error injection."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from qassert import (
     run_shots,
     states_equal_up_to_global_phase,
 )
+
+from qassert.measurement import _draw
 
 from helpers import binomial_4sigma
 
@@ -57,6 +62,87 @@ class TestModelValidation:
     def test_defaults_are_noiseless(self):
         model = NoiseModel()
         assert model.gate_flip_p == 0.0 and model.readout_flip_p == 0.0
+
+
+class ScriptedStream:
+    """A stand-in for `RngStream` that returns the given uniforms in order
+    and counts how many it handed out."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = uniforms
+        self.drawn = 0
+
+    def next_float(self):
+        self.drawn += 1
+        return self.uniforms[self.drawn - 1]
+
+
+DEPOLARIZING = NoiseModel(gate_flip_p=0.5, depolarizing=True)
+
+
+class TestChannels:
+    """`NoiseModel`'s compiled channels and the one draw rule, `_draw`."""
+
+    def test_channels_compiled_from_the_fields(self):
+        model = NoiseModel(gate_flip_p=0.25, readout_flip_p=0.5)
+        assert model.gate_channel == (0.25, (("x", 1.0),))
+        assert model.readout_channel == (0.5, (("flip", 1.0),))
+        assert DEPOLARIZING.gate_channel == (
+            0.5, (("x", 1.0 / 3.0), ("y", 2.0 / 3.0), ("z", 1.0)))
+
+    def test_channels_add_nothing_to_the_model_value(self):
+        model = NoiseModel(gate_flip_p=0.1, readout_flip_p=0.2, depolarizing=True)
+        assert repr(model) == ("NoiseModel(gate_flip_p=0.1, readout_flip_p=0.2, "
+                               "depolarizing=True)")
+        same = NoiseModel(0.1, 0.2, True)
+        assert model == same and hash(model) == hash(same)
+        assert model != NoiseModel(0.1, 0.2)
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model and copy.gate_channel == model.gate_channel
+        with pytest.raises(TypeError):
+            NoiseModel(gate_channel=(1.0, (("x", 1.0),)))
+
+    @pytest.mark.parametrize("r, event", [
+        (math.nextafter(1.0 / 3.0, 0.0), "x"),
+        (1.0 / 3.0, "y"),
+        (math.nextafter(2.0 / 3.0, 0.0), "y"),
+        (2.0 / 3.0, "z"),
+        (math.nextafter(1.0, 0.0), "z"),
+    ])
+    def test_depolarizing_site_picks_its_row_with_a_second_draw(self, r, event):
+        stream = ScriptedStream(0.0, r, 0.0)
+        assert _draw(DEPOLARIZING.gate_channel, stream) == event
+        assert stream.drawn == 2
+
+    @pytest.mark.parametrize("channel, event", [
+        (NoiseModel(gate_flip_p=0.5).gate_channel, "x"),
+        (NoiseModel(readout_flip_p=0.5).readout_channel, "flip"),
+    ])
+    def test_one_row_channel_fires_without_a_second_draw(self, channel, event):
+        stream = ScriptedStream(math.nextafter(0.5, 0.0), 0.0, 0.0)
+        assert _draw(channel, stream) == event
+        assert stream.drawn == 1
+
+    @pytest.mark.parametrize("channel", [
+        NoiseModel(gate_flip_p=0.5).gate_channel,
+        DEPOLARIZING.gate_channel,
+        NoiseModel(readout_flip_p=0.5).readout_channel,
+    ])
+    def test_site_fires_only_below_p(self, channel):
+        stream = ScriptedStream(0.5, 0.0)
+        assert _draw(channel, stream) is None
+        assert stream.drawn == 1
+
+    @pytest.mark.parametrize("channel", [
+        NoiseModel(readout_flip_p=0.5).gate_channel,
+        NoiseModel(depolarizing=True).gate_channel,
+        NoiseModel(gate_flip_p=0.5).readout_channel,
+    ])
+    def test_channel_that_cannot_fire_draws_nothing(self, channel):
+        assert channel is None
+        stream = ScriptedStream()
+        assert _draw(channel, stream) is None
+        assert stream.drawn == 0
 
 
 class TestGateNoise:

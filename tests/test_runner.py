@@ -985,3 +985,20 @@ class TestRenderReport:
         stats = run_shots(lowered(BELL_SOURCE), 100, 4)
         with pytest.raises(ValueError, match="collection of bitstrings"):
             render_report(stats, format=format, expected="11")
+
+    # A bitstring of the wrong width would label every row unexpected data,
+    # and one with other characters would land in the JSON as it is.
+    @pytest.mark.parametrize("format", ["table", "json"])
+    @pytest.mark.parametrize("bits", ["0", "000", "ab", "1x", "", 11])
+    def test_expected_must_be_data_bitstrings(self, format, bits):
+        stats = run_shots(lowered(BELL_SOURCE), 100, 4)
+        message = f"expected {bits!r} must be a bitstring over the 2 data creg(s) m0 m1"
+        with pytest.raises(ValueError) as info:
+            render_report(stats, format=format, expected=["11", bits])
+        assert str(info.value) == message
+
+    def test_expected_may_be_any_iterable(self):
+        stats = run_shots(lowered(BELL_SOURCE), 100, 4)
+        doc = json.loads(render_report(stats, format="json",
+                                       expected=(bits for bits in ("11", "00", "11"))))
+        assert doc["expected"] == ["00", "11"]

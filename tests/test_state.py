@@ -378,6 +378,40 @@ class TestFactorOut:
             factor_out_qubit(ket("0"), 0)
 
 
+BELL = from_amplitudes([S2, 0, 0, S2])
+
+# The functions that take a tolerance, each called with one.
+TOL_ENTRY_POINTS = {
+    "factor_out_qubit": lambda tol: factor_out_qubit(ket("01"), 1, tol=tol),
+    "states_equal_up_to_global_phase":
+        lambda tol: states_equal_up_to_global_phase(ket("+"), ket("+"), tol),
+}
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
+    @pytest.mark.parametrize("tol", [float("nan"), -1, -1e-300, float("inf"), "0.1", True,
+                                     None, 1j])
+    def test_tol_must_be_a_finite_real_at_least_zero(self, entry, tol):
+        with pytest.raises(ValueError, match=r"^tol must be a finite real number >= 0, got "):
+            TOL_ENTRY_POINTS[entry](tol)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, np.float32(0.0), np.int64(0)])
+    def test_zero_tol_accepted(self, tol):
+        bit, rest = factor_out_qubit(ket("01"), 1, tol=tol)
+        assert bit == 1
+        assert_same_state(rest, ket("0"))
+        assert states_equal_up_to_global_phase(ket("+"), ket("+"), tol)
+
+    # NaN compares False against any branch weight, so without the rule an
+    # entangled qubit would be factored out as if it were definite.
+    def test_nan_tol_does_not_factor_an_entangled_qubit(self):
+        with pytest.raises(ValueError, match="^tol "):
+            factor_out_qubit(BELL, 1, tol=float("nan"))
+        with pytest.raises(ValueError, match="definite"):
+            factor_out_qubit(BELL, 1, tol=0.0)
+
+
 def _classical(q):
     return AssertionSpec(AssertionKind.CLASSICAL_EQUALS, (q,), 0)
 
