@@ -111,6 +111,12 @@ class NoiseModel:
         if type(self.depolarizing) is not bool:
             raise ValueError(f"depolarizing must be a bool, got {self.depolarizing!r}")
 
+    def __setstate__(self, state):
+        """Unpickle from the three fields alone, as a constructed model: a
+        pickle made before the channels existed gains them, and a bad field
+        raises."""
+        self.__init__(state["gate_flip_p"], state["readout_flip_p"], state["depolarizing"])
+
 
 def _draw_outcome(p1: float, rng: RngStream) -> int:
     """The outcome of a measurement whose P(1) is `p1`."""

@@ -22,9 +22,11 @@ out of the state, and its measurement reads the parity of its controls
 (deferred measurement).  `_ShotProgram` compiles the plan in one pass
 over the instructions into one flat list of alloc, gate, measurement and
 gate-noise steps.  A run of consecutive cnots onto one target is one gate
-step, one pass over the state; a z or y that gate noise fires on the
-target inside the run is applied after it with a z on each later control,
-so every draw and its order stay as they were.  A shot's record is
+step, one pass over the state, and so is a qubit whose first gates are
+cnots onto it: it enters at its controls' parity in its alloc step, one
+pass with no cnot after it.  A z or y that gate noise fires on the target
+inside the run is applied after it with a z on each later control, so
+every draw and its order stay as they were.  A shot's record is
 fixed at its last measurement, so `run_shots` and `exact_distribution`
 stop there; only `run_single`, which returns the final state, runs the
 steps after it.  `split_shots` says how a readout flip enters a shot's
@@ -231,16 +233,20 @@ class _ShotProgram:
     each waiting qubit with a control it measures or may change: a deferred
     cnot commutes with what acts on other qubits and with `z`, `s` and a
     `cnot` from its control, which keep the control's basis value.  A
-    flush brings a qubit in with the alloc and `cnot` steps its entry
+    flush is one alloc step that brings a qubit in at what its entry
     holds.  Under gate noise nothing is deferred, since noise sites draw
     in program order.  `steps` holds, on physical positions:
-    - ("a", slot, flip) tensors a qubit in as a new top position at the
-      projected bit of `slot` (0 for None) XOR `flip`, so an `x` on a
-      waiting qubit costs no kernel;
+    - ("a", slot, flip, control positions) tensors a qubit in as a new top
+      position at the projected bit of `slot` (0 for None) XOR `flip` XOR
+      the parity of its controls, in one pass (`state._alloc_qubit`), so
+      an `x` on a waiting qubit costs no kernel and its cnots no pass of
+      their own;
     - ("g", gate on positions) runs a gate;
     - ("x", control positions, target position) runs a maximal run of
-      consecutive cnots onto one target with distinct controls, a flush's
-      included, in one pass (`state._apply_parity_x`);
+      consecutive cnots onto one live target with distinct controls in one
+      pass (`state._apply_parity_x`).  An alloc step opens such a run onto
+      its qubit: the cnots right after it, with distinct controls, fold
+      into its controls, as a check's cnots onto its ancilla do;
     - ("m", position, creg slot) measures a qubit and drops it: it leaves
       the state, and the qubits above it move down one position.  The
       slot counts the measurements before it, since `creg_names` is in
@@ -251,7 +257,8 @@ class _ShotProgram:
       class (`state._parity_class`) before the split rule draws on it;
     - ("n", position, later controls), under gate noise only, is the noise
       site after a gate on each qubit the gate touches.  The sites of an
-      "x" step follow it in program order.  A site on its target lists
+      "x" step, or of the cnots folded into an alloc, follow it in program
+      order.  A site on its target lists
       the controls of the run's later cnots, which a z or y fired there
       reaches as a z on each (a cnot maps Z_t to Z_c Z_t and Y_t to
       Z_c Y_t); the later controls are () everywhere else.
@@ -289,8 +296,8 @@ class _ShotProgram:
         layout: list[int] = []
         steps, outside = [], dict.fromkeys(range(self.num_qubits), (frozenset(), 0, None))
         slot = peak = self.recorded = self.peak_width = 0
-        # The open run of cnots: (len(steps) after its last cnot, its target,
-        # its step's index, its controls).
+        # The open run of cnots, or the alloc just emitted: (len(steps) after
+        # it, its target, its step's index, its controls).
         run = None
 
         def gate(name, positions):
@@ -300,7 +307,8 @@ class _ShotProgram:
                 # Only the run's noise sites came after its step: those on
                 # t now precede this cnot.
                 at, controls = run[2], run[3] + (c,)
-                steps[at] = ("x", controls, t)
+                step = steps[at]
+                steps[at] = (*step[:3], controls) if step[0] == "a" else ("x", controls, t)
                 steps[at + 1:] = [("n", q, later + (c,) if q == t else later)
                                   for _, q, later in steps[at + 1:]]
             else:
@@ -312,12 +320,11 @@ class _ShotProgram:
                 run = (len(steps), t, at, controls)
 
         def flush(q):
+            nonlocal run
             controls, flip, at = outside.pop(q)
+            steps.append(("a", at, flip, tuple(layout.index(c) for c in sorted(controls))))
             layout.append(q)
-            top = len(layout) - 1
-            steps.append(("a", at, flip))
-            for c in sorted(controls):
-                gate("cnot", (layout.index(c), top))
+            run = (len(steps), len(layout) - 1, len(steps) - 1, steps[-1][3])
 
         for instr in circuit.instructions:
             is_gate = isinstance(instr, GateInstr)
@@ -406,7 +413,7 @@ class _ShotProgram:
                     _apply_parity_x(amps, step[1], step[2])
                     continue
                 if step[0] == "a":
-                    amps = _alloc_qubit(amps, step[2] ^ _bit(projected, step[1]))
+                    amps = _alloc_qubit(amps, step[2] ^ _bit(projected, step[1]), step[3])
                     continue
                 if step[0] == "p":
                     _, positions, slot, flip, at = step

@@ -145,6 +145,39 @@ class TestChannels:
         assert stream.drawn == 0
 
 
+def pickled_fields(**fields) -> bytes:
+    """A pickle whose state holds only the three fields, as a model pickled
+    before the channels existed had."""
+    model = object.__new__(NoiseModel)
+    model.__dict__.update(fields)
+    return pickle.dumps(model)
+
+
+class TestPickle:
+    """An unpickled model is rebuilt from its three fields, like a
+    constructed one."""
+
+    def test_pickle_without_channels_loads_and_runs(self):
+        fields = dict(gate_flip_p=0.1, readout_flip_p=0.05, depolarizing=True)
+        model = pickle.loads(pickled_fields(**fields))
+        fresh = NoiseModel(**fields)
+        assert model == fresh
+        assert (model.gate_channel, model.readout_channel) == (
+            fresh.gate_channel, fresh.readout_channel)
+        circuit = lower_assertions(parse(TestDrawOrder.BELL))
+        assert run_shots(circuit, 200, 3, model) == run_shots(circuit, 200, 3, fresh)
+
+    def test_current_round_trip_compares_equal(self):
+        model = NoiseModel(gate_flip_p=0.3, readout_flip_p=0.2)
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model and copy.readout_channel == model.readout_channel
+
+    def test_bad_field_raises_on_load(self):
+        blob = pickled_fields(gate_flip_p=2.0, readout_flip_p=0.0, depolarizing=False)
+        with pytest.raises(ValueError, match="^gate_flip_p must be in"):
+            pickle.loads(blob)
+
+
 class TestGateNoise:
     def test_zero_probability_is_identity(self):
         rng = RngStream(1)

@@ -372,10 +372,13 @@ class TestLiveness:
 
 def record_kernels(monkeypatch) -> list:
     """The list that every kernel the runner applies from now on is
-    appended to, in order: a gate, or a fused run of cnots onto one target
-    as ("x", controls, target)."""
+    appended to, in order: a gate, a fused run of cnots onto one live
+    target as ("x", controls, target), or an alloc that enters its qubit at
+    its controls' parity as ("a", controls).  An alloc with no controls
+    only tensors a qubit in, and is not listed."""
     applied = []
-    apply, apply_run = runner._apply_gate_inplace, runner._apply_parity_x
+    apply, apply_run, alloc = (runner._apply_gate_inplace, runner._apply_parity_x,
+                               runner._alloc_qubit)
 
     def counting(amps, gate):
         applied.append(gate)
@@ -385,8 +388,14 @@ def record_kernels(monkeypatch) -> list:
         applied.append(("x", controls, t))
         apply_run(amps, controls, t)
 
+    def counting_alloc(amps, bit, controls):
+        if controls:
+            applied.append(("a", controls))
+        return alloc(amps, bit, controls)
+
     monkeypatch.setattr(runner, "_apply_gate_inplace", counting)
     monkeypatch.setattr(runner, "_apply_parity_x", counting_run)
+    monkeypatch.setattr(runner, "_alloc_qubit", counting_alloc)
     return applied
 
 
@@ -480,8 +489,10 @@ class TestOutcomeTree:
     def test_shared_gates_run_once(self, model, monkeypatch):
         # Without gate noise every Bell shot shares the state up to the
         # first data measurement, and no gate follows it.  The ancilla only
-        # collects parity, so it never enters the state: h and one cnot are
-        # the only kernels.  Under gate noise nothing is deferred.
+        # collects parity, so it never enters the state: h and the alloc
+        # that brings qubit 1 in at qubit 0's bit, for the ancilla's cnot
+        # from it, are the only kernels.  Under gate noise nothing is
+        # deferred.
         circuit = lowered(BELL_SOURCE)
         if model == "gate":
             assert runner._ShotProgram(circuit, MODELS[model]).steps == BELL_NOISY_STEPS
@@ -489,7 +500,7 @@ class TestOutcomeTree:
         applied = record_kernels(monkeypatch)
         stats = run_shots(circuit, 1000, 3, MODELS[model])
         assert sum(stats.counts.values()) == 1000
-        assert applied == [h(0), cnot(0, 1)]
+        assert applied == [h(0), ("a", (0,))]
 
     # A deferred gate acts on no live qubit, so it pulls no other waiting
     # qubit in, and an x on a waiting qubit costs no kernel: it sets the
@@ -520,16 +531,17 @@ class TestOutcomeTree:
         assert applied == [h(0), h(1), h(2), h(3), ("x", (0, 2, 1), 3), cnot(2, 3), h(3)]
 
     # Under gate noise every tree node that reaches a k-target entanglement
-    # check runs one kernel for its k cnots, however often the noise before
-    # it has split the tree.
+    # check runs one kernel for its ancilla and its k cnots, however often
+    # the noise before it has split the tree.
     def test_wide_check_is_one_kernel_per_tree_node(self, monkeypatch):
         k = 6
         circuit = lowered(f"qubits {k}\n" + "".join(f"h {q}\n" for q in range(k))
                           + "assert_entangled " + " ".join(map(str, range(k))) + " parity 0\n"
                           + "".join(f"measure {q} -> m{q}\n" for q in range(k)))
         program = runner._ShotProgram(circuit, MODELS["depolarizing"])
-        (at,) = [i for i, step in enumerate(program.steps) if step[0] == "x"]
-        assert program.steps[at] == ("x", tuple(range(k)), k)
+        (at,) = [i for i, step in enumerate(program.steps) if step[0] == "a" and step[3]]
+        assert program.steps[at] == ("a", None, 0, tuple(range(k)))
+        assert not any(step[0] == "x" for step in program.steps)
         # The run's first noise site follows its step: each node that ran
         # the step splits there once.
         nodes = []
@@ -543,8 +555,29 @@ class TestOutcomeTree:
         block = [(RngStream.for_shot(7, i), 0) for i in range(500)]
         assert sum(len(group) for *_, group in program.walk(block, split, program.recorded)) == 500
         assert len(nodes) > 1
-        assert applied.count(("x", tuple(range(k)), k)) == len(nodes)
-        assert not any(cnot(c, k) in applied for c in range(k))
+        assert applied.count(("a", tuple(range(k)))) == len(nodes)
+        assert not any(cnot(c, k) in applied or ("x", (c,), k) in applied for c in range(k))
+
+    # A 14-qubit GHZ state with four full-width entanglement checks under
+    # depolarizing and readout noise.  Every cnot lands on a qubit just
+    # allocated, a GHZ qubit or a check's ancilla, so none costs a pass of
+    # its own: the kernels of one run are the h, the allocs at their
+    # controls' parity, and the Paulis that noise fired.
+    def test_ghz_with_wide_checks_runs_no_cnot_pass(self, monkeypatch):
+        n = 14
+        targets = " ".join(map(str, range(n)))
+        circuit = lowered("\n".join(
+            [f"qubits {n}", "h 0"] + [f"cnot {q - 1} {q}" for q in range(1, n)]
+            + [f"assert_entangled {targets} parity 0 label g{k}" for k in range(4)]
+            + [f"measure {q} -> m{q}" for q in range(n)]) + "\n")
+        model = NoiseModel(gate_flip_p=0.01, readout_flip_p=0.01, depolarizing=True)
+        assert runner._ShotProgram(circuit, model).peak_width == n + 1
+        applied = record_kernels(monkeypatch)
+        assert run_shots(circuit, 20, 1, model).total_shots == 20
+        kinds = Counter(("alloc" if kernel[0] == "a" else "run") if isinstance(kernel, tuple)
+                        else kernel.name for kernel in applied)
+        assert kinds == {"alloc": 77, "z": 61, "y": 8, "x": 6, "h": 1}
+        assert applied.count(("a", tuple(range(n)))) == 42
 
     # A shot's record is fixed at its last measurement, so the h, cnot and s
     # after it run only in run_single: in no noise model do they cost
@@ -602,17 +635,19 @@ class TestOutcomeTree:
 
 # Bell + assert_entangled under gate noise: every qubit is allocated before
 # its first gate, a noise site follows each touched qubit, and the ancilla
-# (position 2) is measured as a qubit.  The two cnots onto the ancilla are
-# one step; a z or y on the ancilla after the first one reaches qubit 1 (the
-# second cnot's control) as a z.  The program ends by bringing each logical
-# qubit back at its projected bit, with no flip: qubit 0 at slot 1, qubit 1
-# at slot 2 and the ancilla at slot 0.
+# (position 2) is measured as a qubit.  A cnot onto a qubit just allocated
+# folds into its alloc, so qubit 1 enters at qubit 0's bit, and the ancilla
+# at the parity of qubits 0 and 1; a z or y on the ancilla after the first
+# of its cnots reaches qubit 1 (the second cnot's control) as a z.  The
+# program ends by bringing each logical qubit back at its projected bit,
+# with no flip and no controls: qubit 0 at slot 1, qubit 1 at slot 2 and
+# the ancilla at slot 0.
 BELL_NOISY_STEPS = (
-    ("a", None, 0), ("g", h(0)), ("n", 0, ()),
-    ("a", None, 0), ("g", cnot(0, 1)), ("n", 0, ()), ("n", 1, ()),
-    ("a", None, 0), ("x", (0, 1), 2), ("n", 0, ()), ("n", 2, (1,)), ("n", 1, ()), ("n", 2, ()),
+    ("a", None, 0, ()), ("g", h(0)), ("n", 0, ()),
+    ("a", None, 0, (0,)), ("n", 0, ()), ("n", 1, ()),
+    ("a", None, 0, (0, 1)), ("n", 0, ()), ("n", 2, (1,)), ("n", 1, ()), ("n", 2, ()),
     ("m", 2, 0), ("m", 0, 1), ("m", 0, 2),
-    ("a", 1, 0), ("a", 2, 0), ("a", 0, 0),
+    ("a", 1, 0, ()), ("a", 2, 0, ()), ("a", 0, 0, ()),
 )
 
 

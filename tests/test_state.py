@@ -38,7 +38,9 @@ from qassert import (
     z,
 )
 
-from qassert.state import _apply_parity_x
+from qassert import state as state_module
+from qassert.state import (_alloc_qubit, _apply_cnot, _apply_parity_x,
+                           _checked_probabilities, _parity_class)
 
 from helpers import assert_same_state, sv
 
@@ -323,6 +325,119 @@ class TestGateProperties:
                 out = apply_gate(st, gate)
                 for spectator in (0, 2):
                     assert abs(prob_one(out, spectator) - prob_one(st, spectator)) < 1e-12
+
+
+def _zero_laced(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random amplitudes with exact zeros and -0.0 parts mixed in,
+    normalized: the signed zeros a kernel must move as they are."""
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    for part, zero in ((amps.real, -0.0), (amps.imag, 0.0), (amps.imag, -0.0)):
+        part[rng.random(amps.size) < 0.15] = zero
+    amps[rng.random(amps.size) < 0.1] = complex(-0.0, -0.0)
+    if not amps.any():
+        amps[0] = 1.0
+    # Dividing keeps each zero's sign.
+    return amps / np.linalg.norm(amps)
+
+
+def _parity_mask(size: int, positions, flip: int) -> np.ndarray:
+    """The parity class by its definition, index by index."""
+    bits = sum(1 << p for p in positions)
+    return np.array([(bin(i & bits).count("1") + flip) % 2 == 1 for i in range(size)])
+
+
+def _zero_fill_then_cnots(amps, bit, controls):
+    """The earlier alloc: a new top qubit at |bit>, then a cnot from each
+    control onto it."""
+    out = np.zeros(2 * amps.size, dtype=amps.dtype)
+    out.reshape(2, -1)[bit] = amps
+    for c in controls:
+        _apply_cnot(out, c, amps.size.bit_length() - 1)
+    return out
+
+
+def _half_squares(amps, q):
+    """The earlier Born weights: each half of qubit q squared on its own."""
+    view = amps.reshape(-1, 2, 1 << q)
+    b0, b1 = view[:, 0, :], view[:, 1, :]
+    return float((b0.real**2 + b0.imag**2).sum()), float((b1.real**2 + b1.imag**2).sum())
+
+
+def _parity_x_by_its_formula(amps, controls, t):
+    """The fused cnot run as it was written before parity masks were memoized."""
+    view = amps.reshape(-1, 2, 1 << t)
+    ones = _parity_mask(amps.size >> 1, [c - (c > t) for c in controls], 0).reshape(-1, 1 << t)
+    a0, a1 = view[:, 0, :], view[:, 1, :]
+    swapped = np.where(ones, a1, a0)
+    np.copyto(a1, a0, where=ones)
+    a0[...] = swapped
+
+
+class TestKernelFormulas:
+    """Each kernel gives exactly the bytes of the formula it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_alloc_with_controls_is_zero_fill_then_cnots(self, n):
+        rng = np.random.default_rng(100 + n)
+        amps = _zero_laced(rng, n)
+        for _ in range(4):
+            controls = tuple(int(c) for c in rng.permutation(n) if rng.random() < 0.5)
+            for bit in (0, 1):
+                out = _alloc_qubit(amps, bit, controls)
+                expected = _zero_fill_then_cnots(amps, bit, controls)
+                assert out.tobytes() == expected.tobytes(), (bit, controls)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_born_weights_match_the_half_squares(self, n):
+        amps = _zero_laced(np.random.default_rng(200 + n), n)
+        for q in range(n):
+            assert _checked_probabilities(amps, q) == _half_squares(amps, q), q
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_parity_x_is_unchanged(self, n):
+        rng = np.random.default_rng(300 + n)
+        for t in range(n):
+            others = [c for c in range(n) if c != t]
+            controls = [int(c) for c in rng.permutation(others)[:rng.integers(1, n)]]
+            amps = _zero_laced(rng, n)
+            expected = amps.copy()
+            _parity_x_by_its_formula(expected, controls, t)
+            _apply_parity_x(amps, controls, t)
+            assert amps.tobytes() == expected.tobytes(), (t, controls)
+
+    def test_parity_classes_are_read_only_and_correct(self):
+        for size, positions, flip in [(2, (), 1), (16, (0, 3), 0), (64, (5, 1, 2), 1)]:
+            ones = _parity_class(size, positions, flip)
+            assert not ones.flags.writeable
+            with pytest.raises(ValueError):
+                ones[0] = not ones[0]
+            np.testing.assert_array_equal(ones, _parity_mask(size, positions, flip))
+            assert _parity_class(size, positions, flip) is ones
+
+    def test_memo_stays_within_its_byte_bound(self, monkeypatch):
+        monkeypatch.setattr(state_module, "_PARITY_MEMO", {})
+        monkeypatch.setattr(state_module, "_parity_memo_bytes", 0)
+        bound = state_module._PARITY_MEMO_BYTES
+        assert bound == 1 << 24
+        for size in (1 << 10, 1 << 16, 1 << 20, 1 << 22, 1 << 24):
+            for flip in (0, 1):
+                for k in range(4):
+                    _parity_class(size, tuple(range(k)), flip)
+                    held = sum(m.nbytes for m in state_module._PARITY_MEMO.values())
+                    assert held == state_module._parity_memo_bytes <= bound
+        # The mask at the MAX_QUBITS cap fills the memo on its own.
+        assert [key[0] for key in state_module._PARITY_MEMO] == [1 << 24]
+
+    def test_memo_evicts_the_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(state_module, "_PARITY_MEMO", {})
+        monkeypatch.setattr(state_module, "_parity_memo_bytes", 0)
+        monkeypatch.setattr(state_module, "_PARITY_MEMO_BYTES", 3 * 64)
+        first, second = _parity_class(64, (0,), 0), _parity_class(64, (1,), 0)
+        _parity_class(64, (2,), 0)
+        assert _parity_class(64, (0,), 0) is first
+        _parity_class(64, (3,), 0)
+        assert list(state_module._PARITY_MEMO) == [(64, (2,), 0), (64, (0,), 0), (64, (3,), 0)]
+        assert _parity_class(64, (1,), 0) is not second
 
 
 class TestComparisons:
